@@ -174,7 +174,9 @@ def cmd_predict_rom(args):
 
 def cmd_study(args):
     cfg = _load_config(args)
-    model = harness.train_model(cfg)
+    # only the scaling study reads the trained EQP rules; the backend
+    # comparison retrains its own per basis size
+    model = harness.train_model(cfg, with_eqp=args.which == "scaling")
     if args.which == "scaling":
         path = harness.run_scaling_study(model, args.out_dir)
     elif args.which == "supremizer":

@@ -1,9 +1,12 @@
-"""Global full-order system over a component grid and its steady solves.
+"""Global block system over a component grid, and its steady solves.
 
-The global saddle-point system is assembled from precomputed per-component
-blocks (domain, weak Dirichlet, interface configurations); the steady
-nonlinear problem is solved by Newton-Raphson with a sparse direct LU
-factorization, initialized from a Stokes solve.
+One block layout serves both the full-order and the reduced system: each
+subdomain owns a contiguous range of velocity and pressure rows, and the
+per-component blocks (domain, weak Dirichlet, interface configurations) are
+placed at those offsets.  At full order the blocks are the sparse component
+operators; in the reduced system they are their dense projections.  The
+steady nonlinear problem is solved by Newton-Raphson with a sparse direct
+LU factorization; the full-order solve starts from a Stokes solve.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _binio
-from .geometry import GridConfig, InterfaceList, SIDES, build_interfaces
-from .weakforms import ComponentOperators, InterfaceBlocks
+from .geometry import GridConfig, SIDES, interface_topology
+from .weakforms import ComponentOperators
 
 # global sides touching a subdomain, by grid position
 _SIDE_OF_CELL = {
@@ -43,30 +46,37 @@ def saddle_lu(mat):
 class SolveReport:
     newton_iterations: int
     residual_history: list
-    wall_times: dict
+    wall_times: dict                    # assembly, factorization, total (seconds)
     converged: bool
     message: str = ""
 
 
-@dataclass
-class GlobalFomSystem:
+@dataclass(kw_only=True)
+class BlockSystem:
+    """Global saddle-point system in the subdomain block layout.
+
+    Subdomain m owns velocity rows ``off_u[m]:off_u[m + 1]`` and pressure
+    rows ``off_p[m]:off_p[m + 1]``.  The pressure block of the saddle matrix
+    is ``-C``: empty at full order, the pressure-gradient penalty in the
+    reduced system.  Without an outflow side the mean pressure is fixed by a
+    Lagrange multiplier, the last unknown.  Subclasses supply the advection
+    term.
+    """
+
     grid: GridConfig
-    operators: Mapping                  # component name -> ComponentOperators
-    interfaces: InterfaceList
+    interfaces: list                    # (m, n, orientation) per grid interface
     off_u: np.ndarray
     off_p: np.ndarray
     n_u: int
     n_p: int
     K: sp.csr_matrix
     B: sp.csr_matrix
+    C: sp.csr_matrix
     rhs_u: np.ndarray
     rhs_p: np.ndarray
     pressure_constraint: bool
     mean_row: Optional[np.ndarray]
     assembly_time: float = 0.0
-
-    def ops_of(self, m: int) -> ComponentOperators:
-        return self.operators[self.grid.component_name(m)]
 
     def slice_u(self, m: int) -> slice:
         return slice(self.off_u[m], self.off_u[m + 1])
@@ -77,6 +87,215 @@ class GlobalFomSystem:
     @property
     def n_dof(self) -> int:
         return self.n_u + self.n_p + (1 if self.pressure_constraint else 0)
+
+    def residual(self, u: np.ndarray, p: np.ndarray):
+        """Momentum and continuity residual blocks at a given state."""
+        r_u = self.K @ u + self.B.T @ p + self.advection_value(u) - self.rhs_u
+        r_p = self.B @ u - self.C @ p - self.rhs_p
+        return r_u, r_p
+
+    def _split(self, x: np.ndarray):
+        return x[: self.n_u], x[self.n_u : self.n_u + self.n_p]
+
+    def _residual_vector(self, x: np.ndarray) -> np.ndarray:
+        u, p = self._split(x)
+        r_u, r_p = self.residual(u, p)
+        if self.pressure_constraint:
+            r_p = r_p + x[-1] * self.mean_row
+            return np.concatenate([r_u, r_p, [self.mean_row @ p]])
+        return np.concatenate([r_u, r_p])
+
+    def _saddle(self, A_uu: sp.spmatrix) -> sp.csc_matrix:
+        if self.pressure_constraint:
+            m = sp.csr_matrix(self.mean_row[None, :])
+            return sp.bmat(
+                [[A_uu, self.B.T, None], [self.B, -self.C, m.T], [None, m, None]],
+                format="csc",
+            )
+        return sp.bmat([[A_uu, self.B.T], [self.B, -self.C]], format="csc")
+
+
+class _Triplets:
+    """Coordinate entries of one global matrix, gathered block by block.
+
+    Sparse blocks contribute their stored entries; dense blocks contribute
+    every entry, so the global pattern does not depend on the values.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, mat, row_off, col_off):
+        if sp.issparse(mat):
+            coo = mat.tocoo()
+            rows, cols, vals = coo.row, coo.col, coo.data
+        else:
+            nr, nc = mat.shape
+            rows, cols = np.repeat(np.arange(nr), nc), np.tile(np.arange(nc), nr)
+            vals = np.asarray(mat).ravel()
+        self.rows.append(rows + row_off)
+        self.cols.append(cols + col_off)
+        self.vals.append(vals)
+
+    def tocsr(self) -> sp.csr_matrix:
+        return sp.coo_matrix(
+            (
+                np.concatenate(self.vals),
+                (np.concatenate(self.rows), np.concatenate(self.cols)),
+            ),
+            shape=self.shape,
+        ).tocsr()
+
+
+def _offsets(sizes) -> np.ndarray:
+    off = np.zeros(len(sizes) + 1, dtype=int)
+    off[1:] = np.cumsum(sizes)
+    return off
+
+
+def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Mapping, **fields):
+    """Place per-component and per-configuration blocks at subdomain offsets.
+
+    ``local`` maps component names to :class:`ComponentOperators` or their
+    reduced projections; either carries ``K``, ``B``, ``C`` (empty at full
+    order), ``K_di``/``B_di`` and ``loads`` by boundary tag,
+    ``pressure_mean`` and ``forcing_load``.  ``interface_blocks`` maps
+    (ref_m, ref_n, orientation) to blocks keyed "mm".."nn"; a missing needed
+    configuration is an error.  Returns ``cls`` built from the assembled
+    fields plus ``fields``.
+    """
+    grid.validate_components(local)
+    M = grid.n_subdomains
+    parts = [local[grid.component_name(m)] for m in range(M)]
+    off_u = _offsets([ops.K.shape[0] for ops in parts])
+    off_p = _offsets([ops.B.shape[0] for ops in parts])
+    n_u, n_p = int(off_u[-1]), int(off_p[-1])
+
+    K = _Triplets((n_u, n_u))
+    B = _Triplets((n_p, n_u))
+    C = _Triplets((n_p, n_p))
+    rhs_u = np.zeros(n_u)
+    rhs_p = np.zeros(n_p)
+    any_neumann = any(grid.bc[s].kind == "neumann" for s in SIDES)
+
+    for m, ops in enumerate(parts):
+        K.add(ops.K, off_u[m], off_u[m])
+        B.add(ops.B, off_p[m], off_u[m])
+        C.add(ops.C, off_p[m], off_p[m])
+        origin = grid.cell_origin(m)
+        col, row = m % grid.cols, m // grid.cols
+        if grid.forcing is not None:
+            rhs_u[off_u[m] : off_u[m + 1]] += ops.forcing_load(grid.forcing, origin)
+        for side in SIDES:
+            if not _SIDE_OF_CELL[side](col, row, grid):
+                continue
+            bc = grid.bc[side]
+            if bc.kind == "dirichlet":
+                K.add(ops.K_di[side], off_u[m], off_u[m])
+                B.add(ops.B_di[side], off_p[m], off_u[m])
+                lu, lp = ops.loads[side].dirichlet_loads(bc.velocity, origin)
+                rhs_u[off_u[m] : off_u[m + 1]] += lu
+                rhs_p[off_p[m] : off_p[m + 1]] += lp
+            elif bc.velocity is not None:
+                rhs_u[off_u[m] : off_u[m + 1]] += ops.loads[side].neumann_load(
+                    bc.velocity, origin
+                )
+        if "O" in ops.K_di:
+            K.add(ops.K_di["O"], off_u[m], off_u[m])
+            B.add(ops.B_di["O"], off_p[m], off_u[m])  # no-slip walls: zero loads
+
+    interfaces = interface_topology(grid)
+    for m, n, orientation in interfaces:
+        key = (grid.component_name(m), grid.component_name(n), orientation)
+        if key not in interface_blocks:
+            raise KeyError(f"missing interface blocks for configuration {key}")
+        blocks = interface_blocks[key]
+        offs = {"m": m, "n": n}
+        for s in ("m", "n"):
+            for t in ("m", "n"):
+                K.add(blocks.K[s + t], off_u[offs[s]], off_u[offs[t]])
+                B.add(blocks.B[s + t], off_p[offs[s]], off_u[offs[t]])
+
+    C_mat = C.tocsr()
+    C_mat.eliminate_zeros()
+    mean_row = None
+    if not any_neumann:
+        mean_row = np.concatenate([ops.pressure_mean for ops in parts])
+    return cls(
+        grid=grid,
+        interfaces=interfaces,
+        off_u=off_u,
+        off_p=off_p,
+        n_u=n_u,
+        n_p=n_p,
+        K=K.tocsr(),
+        B=B.tocsr(),
+        C=C_mat,
+        rhs_u=rhs_u,
+        rhs_p=rhs_p,
+        pressure_constraint=not any_neumann,
+        mean_row=mean_row,
+        **fields,
+    )
+
+
+def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_start, t_fact):
+    """Newton-Raphson on a block system from the stacked state ``x``.
+
+    ``factorize`` is the sparse LU of the calling solver; ``t_start`` and
+    ``t_fact`` are the solve's start time and the factorization seconds it
+    has spent before the loop.  A singular factorization or a non-finite
+    residual ends the loop with a non-converged report.  Returns
+    (u, p, report).
+    """
+    r = system._residual_vector(x)
+    history = [float(np.linalg.norm(r))]
+    target = max(tol_rel * history[0], tol_abs)
+    converged = history[0] <= target
+    message = ""
+    it = 0
+    while not converged and it < max_iter:
+        u, _ = system._split(x)
+        t0 = time.perf_counter()
+        jac = system._saddle(system.K + system.advection_jacobian(u))
+        try:
+            lu = factorize(jac)
+        except RuntimeError as exc:
+            t_fact += time.perf_counter() - t0
+            message = f"singular Newton factorization: {exc}"
+            break
+        x = x + lu.solve(-r)
+        t_fact += time.perf_counter() - t0
+        r = system._residual_vector(x)
+        history.append(float(np.linalg.norm(r)))
+        it += 1
+        if history[-1] <= target:
+            converged = True
+        elif not np.isfinite(history[-1]):
+            message = "residual diverged"
+            break
+    u, p = system._split(x)
+    report = SolveReport(
+        newton_iterations=it,
+        residual_history=history,
+        wall_times={
+            "assembly": system.assembly_time,
+            "factorization": t_fact,
+            "total": time.perf_counter() - t_start,
+        },
+        converged=bool(converged),
+        message=message,
+    )
+    return u, p, report
+
+
+@dataclass(kw_only=True)
+class GlobalFomSystem(BlockSystem):
+    operators: Mapping                  # component name -> ComponentOperators
+
+    def ops_of(self, m: int) -> ComponentOperators:
+        return self.operators[self.grid.component_name(m)]
 
     def advection_value(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
@@ -90,26 +309,6 @@ class GlobalFomSystem:
         for m in range(self.grid.n_subdomains):
             blocks.append(self.ops_of(m).adv.jacobian(u[self.slice_u(m)]))
         return sp.block_diag(blocks, format="csr")
-
-    def residual(self, u: np.ndarray, p: np.ndarray):
-        """Momentum and continuity residual blocks at a given state."""
-        r_u = self.K @ u + self.B.T @ p + self.advection_value(u) - self.rhs_u
-        r_p = self.B @ u - self.rhs_p
-        return r_u, r_p
-
-    def stokes_matrix(self) -> sp.csc_matrix:
-        return self._saddle(self.K)
-
-    def _saddle(self, A_uu: sp.spmatrix) -> sp.csc_matrix:
-        if self.pressure_constraint:
-            m = sp.csr_matrix(self.mean_row[None, :])
-            mat = sp.bmat(
-                [[A_uu, self.B.T, None], [self.B, None, m.T], [None, m, None]],
-                format="csc",
-            )
-        else:
-            mat = sp.bmat([[A_uu, self.B.T], [self.B, None]], format="csc")
-        return mat
 
 
 def _check_dirichlet_compatibility(grid: GridConfig, operators, tol=1e-9):
@@ -153,125 +352,25 @@ def assemble_global(
     grid: GridConfig,
     operators: Mapping,
     interface_blocks: Mapping,
-    interfaces: Optional[InterfaceList] = None,
 ) -> GlobalFomSystem:
-    """Place per-component and per-configuration blocks at subdomain offsets.
+    """Full-order global system from the component operators.
 
     ``interface_blocks`` maps (ref_m, ref_n, orientation) to
-    :class:`InterfaceBlocks`; a missing needed configuration is an error.
+    :class:`InterfaceBlocks`; a missing needed configuration is an error,
+    and so is fully Dirichlet data with a net boundary flux.
     """
     t0 = time.perf_counter()
-    grid.validate_components(operators)
-    M = grid.n_subdomains
-    names = [grid.component_name(m) for m in range(M)]
-    spaces = {name: operators[name].space for name in set(names)}
-    if interfaces is None:
-        meshes = {name: spc.mesh for name, spc in spaces.items()}
-        interfaces = build_interfaces(grid, meshes)
-
-    off_u = np.zeros(M + 1, dtype=int)
-    off_p = np.zeros(M + 1, dtype=int)
-    for m in range(M):
-        off_u[m + 1] = off_u[m] + spaces[names[m]].n_u
-        off_p[m + 1] = off_p[m] + spaces[names[m]].n_p
-    n_u, n_p = int(off_u[-1]), int(off_p[-1])
-
-    kr, kc, kv = [], [], []
-    br, bc_, bv = [], [], []
-    rhs_u = np.zeros(n_u)
-    rhs_p = np.zeros(n_p)
-
-    def add_k(mat, row_off, col_off):
-        coo = mat.tocoo()
-        kr.append(coo.row + row_off)
-        kc.append(coo.col + col_off)
-        kv.append(coo.data)
-
-    def add_b(mat, row_off, col_off):
-        coo = mat.tocoo()
-        br.append(coo.row + row_off)
-        bc_.append(coo.col + col_off)
-        bv.append(coo.data)
-
-    any_neumann = any(grid.bc[s].kind == "neumann" for s in SIDES)
-    if not any_neumann:
-        _check_dirichlet_compatibility(grid, operators)
-
-    for m in range(M):
-        ops = operators[names[m]]
-        add_k(ops.K, off_u[m], off_u[m])
-        add_b(ops.B, off_p[m], off_u[m])
-        origin = grid.cell_origin(m)
-        col, row = m % grid.cols, m // grid.cols
-        if grid.forcing is not None:
-            rhs_u[off_u[m] : off_u[m + 1]] += ops.forcing_load(grid.forcing, origin)
-        for side in SIDES:
-            if not _SIDE_OF_CELL[side](col, row, grid):
-                continue
-            bc = grid.bc[side]
-            if bc.kind == "dirichlet":
-                add_k(ops.K_di[side], off_u[m], off_u[m])
-                add_b(ops.B_di[side], off_p[m], off_u[m])
-                lu, lp = ops.loads[side].dirichlet_loads(bc.velocity, origin)
-                rhs_u[off_u[m] : off_u[m + 1]] += lu
-                rhs_p[off_p[m] : off_p[m + 1]] += lp
-            elif bc.velocity is not None:
-                rhs_u[off_u[m] : off_u[m + 1]] += ops.loads[side].neumann_load(
-                    bc.velocity, origin
-                )
-        if "O" in ops.K_di:
-            add_k(ops.K_di["O"], off_u[m], off_u[m])
-            add_b(ops.B_di["O"], off_p[m], off_u[m])  # no-slip walls: zero loads
-
-    for entry in interfaces.entries:
-        key = (names[entry.m], names[entry.n], entry.orientation)
-        if key not in interface_blocks:
-            raise KeyError(f"missing interface blocks for configuration {key}")
-        blocks: InterfaceBlocks = interface_blocks[key]
-        offs = {"m": entry.m, "n": entry.n}
-        for s in ("m", "n"):
-            for t in ("m", "n"):
-                add_k(blocks.K[s + t], off_u[offs[s]], off_u[offs[t]])
-                add_b(blocks.B[s + t], off_p[offs[s]], off_u[offs[t]])
-
-    K = sp.coo_matrix(
-        (np.concatenate(kv), (np.concatenate(kr), np.concatenate(kc))), shape=(n_u, n_u)
-    ).tocsr()
-    B = sp.coo_matrix(
-        (np.concatenate(bv), (np.concatenate(br), np.concatenate(bc_))), shape=(n_p, n_u)
-    ).tocsr()
-
-    mean_row = None
-    if not any_neumann:
-        mean_row = np.zeros(n_p)
-        for m in range(M):
-            mean_row[off_p[m] : off_p[m + 1]] = operators[names[m]].pressure_mean
-
-    sys = GlobalFomSystem(
-        grid=grid,
-        operators=operators,
-        interfaces=interfaces,
-        off_u=off_u,
-        off_p=off_p,
-        n_u=n_u,
-        n_p=n_p,
-        K=K,
-        B=B,
-        rhs_u=rhs_u,
-        rhs_p=rhs_p,
-        pressure_constraint=not any_neumann,
-        mean_row=mean_row,
+    system = assemble_blocks(
+        GlobalFomSystem, grid, operators, interface_blocks, operators=operators
     )
-    sys.assembly_time = time.perf_counter() - t0
-    return sys
-
-
-def _split(system: GlobalFomSystem, x: np.ndarray):
-    return x[: system.n_u], x[system.n_u : system.n_u + system.n_p]
+    if system.pressure_constraint:
+        _check_dirichlet_compatibility(grid, operators)
+    system.assembly_time = time.perf_counter() - t0
+    return system
 
 
 def _solve_stokes_full(system: GlobalFomSystem) -> np.ndarray:
-    mat = system.stokes_matrix()
+    mat = system._saddle(system.K)
     rhs = np.concatenate([system.rhs_u, system.rhs_p])
     if system.pressure_constraint:
         rhs = np.concatenate([rhs, [0.0]])
@@ -285,18 +384,7 @@ def _solve_stokes_full(system: GlobalFomSystem) -> np.ndarray:
 
 def solve_stokes(system: GlobalFomSystem):
     """Linear saddle-point solve with the advection term dropped."""
-    return _split(system, _solve_stokes_full(system))
-
-
-def _residual_vector(system: GlobalFomSystem, x: np.ndarray) -> np.ndarray:
-    u, p = _split(system, x)
-    r_u = system.K @ u + system.B.T @ p + system.advection_value(u) - system.rhs_u
-    r_p = system.B @ u - system.rhs_p
-    if system.pressure_constraint:
-        lam = x[-1]
-        r_p = r_p + lam * system.mean_row
-        return np.concatenate([r_u, r_p, [system.mean_row @ p]])
-    return np.concatenate([r_u, r_p])
+    return system._split(_solve_stokes_full(system))
 
 
 def solve_newton(
@@ -304,70 +392,16 @@ def solve_newton(
     tol_rel: float = 1e-8,
     tol_abs: float = 1e-10,
     max_iter: int = 50,
-    line_search: bool = False,
-    initial=None,
 ):
     """Newton-Raphson on the steady system, starting from a Stokes solve.
 
-    Returns (u, p, report); non-convergence is reported, not raised.
+    Returns (u, p, report); non-convergence, a singular Newton factorization
+    included, is reported, not raised.  An inaccurate Stokes start raises.
     """
     t_start = time.perf_counter()
-    t_fact = 0.0
-    if initial is None:
-        t0 = time.perf_counter()
-        x = _solve_stokes_full(system)
-        t_fact += time.perf_counter() - t0
-    else:
-        x = np.concatenate(
-            [np.asarray(initial[0], dtype=float), np.asarray(initial[1], dtype=float)]
-        )
-        if system.pressure_constraint:
-            x = np.concatenate([x, [0.0]])
-
-    r = _residual_vector(system, x)
-    history = [float(np.linalg.norm(r))]
-    target = max(tol_rel * history[0], tol_abs)
-    converged = history[0] <= target
-    message = ""
-    it = 0
-    while not converged and it < max_iter:
-        u, _ = _split(system, x)
-        t0 = time.perf_counter()
-        jac = system._saddle(system.K + system.advection_jacobian(u))
-        try:
-            lu = saddle_lu(jac)
-        except RuntimeError as exc:
-            raise RuntimeError(f"singular Newton factorization: {exc}") from exc
-        delta = lu.solve(-r)
-        t_fact += time.perf_counter() - t0
-        step = 1.0
-        for _ in range(10 if line_search else 1):
-            x_new = x + step * delta
-            r_new = _residual_vector(system, x_new)
-            if not line_search or np.linalg.norm(r_new) < history[-1]:
-                break
-            step *= 0.5
-        x, r = x_new, r_new
-        history.append(float(np.linalg.norm(r)))
-        it += 1
-        if history[-1] <= target:
-            converged = True
-        elif not np.isfinite(history[-1]):
-            message = "residual diverged"
-            break
-    u, p = _split(system, x)
-    report = SolveReport(
-        newton_iterations=it,
-        residual_history=history,
-        wall_times={
-            "assembly": system.assembly_time,
-            "factorization": t_fact,
-            "total": time.perf_counter() - t_start,
-        },
-        converged=bool(converged),
-        message=message,
-    )
-    return u, p, report
+    x = _solve_stokes_full(system)
+    t_fact = time.perf_counter() - t_start
+    return newton(system, x, saddle_lu, tol_rel, tol_abs, max_iter, t_start, t_fact)
 
 
 def mms_convergence(

@@ -401,24 +401,39 @@ def match_side_faces(mesh_m: ComponentMesh, mesh_n: ComponentMesh, orientation: 
     return list(zip(mesh_m.side_trace[side_m], mesh_n.side_trace[side_n]))
 
 
+def interface_topology(grid: GridConfig) -> list:
+    """(m, n, orientation) of every subdomain interface of a grid.
+
+    Horizontal interfaces come first, row by row, then vertical ones.  Face
+    pairing is a property of the component configuration, matched once
+    when its interface blocks are assembled, so global assembly needs only
+    this topology.
+    """
+    horizontal = [
+        (grid.subdomain(col, row), grid.subdomain(col + 1, row), "H")
+        for row in range(grid.rows)
+        for col in range(grid.cols - 1)
+    ]
+    return horizontal + [
+        (grid.subdomain(col, row), grid.subdomain(col, row + 1), "V")
+        for row in range(grid.rows - 1)
+        for col in range(grid.cols)
+    ]
+
+
 def build_interfaces(grid: GridConfig, registry: Mapping) -> InterfaceList:
     """Enumerate all subdomain interfaces of a grid with matched face pairs."""
     grid.validate_components(registry)
-    entries = []
-    for row in range(grid.rows):
-        for col in range(grid.cols - 1):
-            m = grid.subdomain(col, row)
-            n = grid.subdomain(col + 1, row)
-            pairs = match_side_faces(
-                registry[grid.component_name(m)], registry[grid.component_name(n)], "H"
+    return InterfaceList(
+        [
+            InterfaceEntry(
+                m,
+                n,
+                o,
+                match_side_faces(
+                    registry[grid.component_name(m)], registry[grid.component_name(n)], o
+                ),
             )
-            entries.append(InterfaceEntry(m, n, "H", pairs))
-    for row in range(grid.rows - 1):
-        for col in range(grid.cols):
-            m = grid.subdomain(col, row)
-            n = grid.subdomain(col, row + 1)
-            pairs = match_side_faces(
-                registry[grid.component_name(m)], registry[grid.component_name(n)], "V"
-            )
-            entries.append(InterfaceEntry(m, n, "V", pairs))
-    return InterfaceList(entries)
+            for m, n, o in interface_topology(grid)
+        ]
+    )

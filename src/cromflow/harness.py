@@ -406,15 +406,9 @@ def _solve_case(model: TrainedModel, grid: GridConfig, backends, repeats: int):
         )
     if len(backends) == 2:
         a, b = (lifted[bk] for bk in backends)
-        du2 = dp2 = nu2 = np2 = 0.0
-        for m in range(grid.n_subdomains):
-            space = parts.spaces[grid.component_name(m)]
-            du2 += space.velocity_l2(a.u[a.off_u[m] : a.off_u[m + 1]] - b.u[b.off_u[m] : b.off_u[m + 1]]) ** 2
-            nu2 += space.velocity_l2(a.u[a.off_u[m] : a.off_u[m + 1]]) ** 2
-            dp2 += space.pressure_l2(a.p[a.off_p[m] : a.off_p[m + 1]] - b.p[b.off_p[m] : b.off_p[m + 1]]) ** 2
-            np2 += space.pressure_l2(a.p[a.off_p[m] : a.off_p[m + 1]]) ** 2
-        row["backend_vel_diff"] = float(np.sqrt(du2 / max(nu2, 1e-300)))
-        row["backend_pres_diff"] = float(np.sqrt(dp2 / max(np2, 1e-300)))
+        diff = relative_errors(fom_sys, a.u, a.p, b)
+        row["backend_vel_diff"] = diff["velocity_rel_l2"]
+        row["backend_pres_diff"] = diff["pressure_rel_l2"]
     return row
 
 
@@ -429,6 +423,17 @@ def _write_csv(path, rows) -> None:
             writer.writerow(row)
 
 
+def _test_cases(cfg: ExperimentConfig, rng: np.random.Generator, L: int) -> list:
+    """``tests_per_size`` random L x L arrays: (cells, inflow sample, grid) each."""
+    cases = []
+    for _ in range(cfg.tests_per_size):
+        cells = random_cells(rng, L, L, cfg.components)
+        sample = sample_inflow(rng)
+        grid = GridConfig(L, L, cells, cfg.viscosity, bc_from_sample(sample))
+        cases.append((cells, sample, grid))
+    return cases
+
+
 def run_scaling_study(model: TrainedModel, out_dir, backends=(TENSORIAL, EQP)) -> Path:
     """Errors and timings over grid sizes; one row per (size, test case)."""
     cfg = model.cfg
@@ -437,10 +442,7 @@ def run_scaling_study(model: TrainedModel, out_dir, backends=(TENSORIAL, EQP)) -
     rng = np.random.default_rng(cfg.seed + 1)
     rows = []
     for L in cfg.predict_sizes:
-        for case in range(cfg.tests_per_size):
-            cells = random_cells(rng, L, L, cfg.components)
-            sample = sample_inflow(rng)
-            grid = GridConfig(L, L, cells, cfg.viscosity, bc_from_sample(sample))
+        for case, (cells, sample, grid) in enumerate(_test_cases(cfg, rng, L)):
             row = {
                 "L": L,
                 "case": case,
@@ -472,15 +474,7 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     # the test set is fixed across Z so rows are comparable
-    rng = np.random.default_rng(cfg.seed + 2)
-    cases = []
-    for case in range(cfg.tests_per_size):
-        cases.append(
-            (
-                random_cells(rng, grid_size, grid_size, cfg.components),
-                sample_inflow(rng),
-            )
-        )
+    cases = _test_cases(cfg, np.random.default_rng(cfg.seed + 2), grid_size)
     for z in z_values:
         bases = train_bases(cfg, model.parts, model.snapshots, z=z)
         reduced, riface = project_linear(
@@ -491,10 +485,7 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
                 model.parts.operators[name], bases[name].phi_u
             )
         sub = TrainedModel(cfg, model.parts, model.snapshots, bases, reduced, riface)
-        for case, (cells, sample) in enumerate(cases):
-            grid = GridConfig(
-                grid_size, grid_size, cells, cfg.viscosity, bc_from_sample(sample)
-            )
+        for case, (_, sample, grid) in enumerate(cases):
             row = {"Z": z, "case": case, **sample.as_row()}
             row.update(_solve_case(sub, grid, (TENSORIAL,), cfg.timing_repeats))
             row["B_sigma_min_l2"] = assemble_global_rom(
@@ -522,23 +513,12 @@ def run_backend_comparison(model: TrainedModel, out_dir, r_values, grid_size=4) 
     cfg = model.cfg
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed + 3)
-    cases = []
-    for case in range(cfg.tests_per_size):
-        cases.append(
-            (
-                random_cells(rng, grid_size, grid_size, cfg.components),
-                sample_inflow(rng),
-            )
-        )
+    cases = _test_cases(cfg, np.random.default_rng(cfg.seed + 3), grid_size)
     rows = []
     for r in r_values:
         sub_cfg = replace(cfg, basis_size=r, pressure_basis_size=r, supremizer_size=r)
         sub = train_model(sub_cfg, parts=model.parts, snapshots=model.snapshots, with_eqp=True)
-        for case, (cells, sample) in enumerate(cases):
-            grid = GridConfig(
-                grid_size, grid_size, cells, cfg.viscosity, bc_from_sample(sample)
-            )
+        for case, (_, sample, grid) in enumerate(cases):
             row = {"R": r, "case": case, **sample.as_row()}
             row["eqp_points"] = ";".join(
                 str(sub.reduced[name].eqp_rule.n_points) for name in cfg.components

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import _binio
-from .weakforms import ComponentOperators, InterfaceBlocks
+from .weakforms import BoundaryLoadBuilder, ComponentOperators, InterfaceBlocks
 
 BASIS_MAGIC = b"CROMBAS2"
 TENSOR_MAGIC = b"CROMTEN1"
@@ -208,7 +208,7 @@ def build_pod_basis(
 
 @dataclass
 class ReducedComponentOperators:
-    """Dense reduced blocks of one component plus its boundary load builders."""
+    """Dense reduced blocks of one component, laid out like :class:`ComponentOperators`."""
 
     component: str
     basis: PodBasis
@@ -217,10 +217,7 @@ class ReducedComponentOperators:
     C: np.ndarray                       # (R_p, R_p) pressure-gradient penalty
     K_di: dict
     B_di: dict
-    load_u: dict                        # side -> (R, 2 q) dense map from g samples
-    load_p: dict
-    load_ne: dict
-    load_xy: dict                       # side -> (q, 2) local quadrature points
+    loads: dict                         # tag -> projected (dense) BoundaryLoadBuilder
     pressure_mean: np.ndarray
     tensor: Optional[np.ndarray] = None
     eqp_rule: object = None
@@ -251,12 +248,12 @@ def project_component(ops: ComponentOperators, basis: PodBasis) -> ReducedCompon
     pu, pp = basis.phi_u, basis.phi_p
     K_di = {t: pu.T @ (m @ pu) for t, m in ops.K_di.items()}
     B_di = {t: pp.T @ (m @ pu) for t, m in ops.B_di.items()}
-    load_u, load_p, load_ne, load_xy = {}, {}, {}, {}
-    for tag, builder in ops.loads.items():
-        load_u[tag] = pu.T @ builder.dirichlet_u
-        load_p[tag] = pp.T @ builder.dirichlet_p
-        load_ne[tag] = pu.T @ builder.neumann_u
-        load_xy[tag] = builder.xy
+    loads = {
+        tag: BoundaryLoadBuilder(
+            b.xy, pu.T @ b.dirichlet_u, pp.T @ b.dirichlet_p, pu.T @ b.neumann_u
+        )
+        for tag, b in ops.loads.items()
+    }
     return ReducedComponentOperators(
         component=basis.component,
         basis=basis,
@@ -265,10 +262,7 @@ def project_component(ops: ComponentOperators, basis: PodBasis) -> ReducedCompon
         C=basis.pressure_penalty * (pp.T @ (ops.pressure_stiffness @ pp)),
         K_di=K_di,
         B_di=B_di,
-        load_u=load_u,
-        load_p=load_p,
-        load_ne=load_ne,
-        load_xy=load_xy,
+        loads=loads,
         pressure_mean=pp.T @ ops.pressure_mean,
         ops=ops,
     )

@@ -1,10 +1,10 @@
 """Global reduced system: assembly from per-component reduced blocks,
 Newton solve, lifting back to full order, and error evaluation.
 
-The reduced saddle-point matrix has the same block-sparsity pattern as the
-full-order one, with small dense blocks; boundary loads are built online
-from the per-component reduced load maps so any boundary condition can be
-applied without reassembling full-order operators.
+The reduced system is the full-order block system of :mod:`cromflow.fom`
+with every component and interface block replaced by its dense projection;
+boundary loads come from the projected load builders, so any boundary
+condition can be applied without reassembling full-order operators.
 
 The pressure block holds the per-component pressure-gradient penalty
 ``-C`` (zero for a basis that spans its training snapshots).  Without it,
@@ -26,14 +26,9 @@ import scipy.sparse as sp
 
 from . import _binio
 from .eqp import eqp_advection_jacobian, eqp_advection_value
-from .fom import GlobalFomSystem, SolveReport, _SIDE_OF_CELL, saddle_lu
-from .geometry import GridConfig, InterfaceList, SIDES
-from .reduction import (
-    ReducedComponentOperators,
-    ReducedInterfaceBlocks,
-    tensor_contract,
-    tensor_jacobian,
-)
+from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton, saddle_lu
+from .geometry import GridConfig
+from .reduction import ReducedComponentOperators, tensor_contract, tensor_jacobian
 
 ROM_SOLUTION_MAGIC = b"CROMRSOL1"
 
@@ -41,38 +36,15 @@ TENSORIAL = "tensorial"
 EQP = "eqp"
 
 
-@dataclass
-class GlobalRomSystem:
-    grid: GridConfig
+@dataclass(kw_only=True)
+class GlobalRomSystem(BlockSystem):
     reduced: Mapping                     # component name -> ReducedComponentOperators
     backend: str
-    off_u: np.ndarray
-    off_p: np.ndarray
-    n_u: int
-    n_p: int
-    K: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix                     # pressure-gradient penalty, block diagonal
-    rhs_u: np.ndarray
-    rhs_p: np.ndarray
-    pressure_constraint: bool
-    mean_row: Optional[np.ndarray]
     fom_off_u: np.ndarray
     fom_off_p: np.ndarray
-    assembly_time: float = 0.0
 
     def red_of(self, m: int) -> ReducedComponentOperators:
         return self.reduced[self.grid.component_name(m)]
-
-    def slice_u(self, m: int) -> slice:
-        return slice(self.off_u[m], self.off_u[m + 1])
-
-    def slice_p(self, m: int) -> slice:
-        return slice(self.off_p[m], self.off_p[m + 1])
-
-    @property
-    def n_dof(self) -> int:
-        return self.n_u + self.n_p + (1 if self.pressure_constraint else 0)
 
     def advection_value(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
@@ -96,20 +68,6 @@ class GlobalRomSystem:
                 blocks.append(eqp_advection_jacobian(red.eqp_rule, uh))
         return sp.block_diag(blocks, format="csr")
 
-    def residual(self, u_hat: np.ndarray, p_hat: np.ndarray):
-        r_u = self.K @ u_hat + self.B.T @ p_hat + self.advection_value(u_hat) - self.rhs_u
-        r_p = self.B @ u_hat - self.C @ p_hat - self.rhs_p
-        return r_u, r_p
-
-    def _saddle(self, A_uu) -> sp.csc_matrix:
-        if self.pressure_constraint:
-            m = sp.csr_matrix(self.mean_row[None, :])
-            return sp.bmat(
-                [[A_uu, self.B.T, None], [self.B, -self.C, m.T], [None, m, None]],
-                format="csc",
-            )
-        return sp.bmat([[A_uu, self.B.T], [self.B, -self.C]], format="csc")
-
     def divergence_sigma_min(self) -> float:
         """Smallest singular value of the assembled reduced B in l2 coordinates."""
         return float(np.linalg.svd(self.B.toarray(), compute_uv=False)[-1])
@@ -131,7 +89,7 @@ def assemble_global_rom(
     reduced_interfaces: Mapping,
     backend: str = TENSORIAL,
 ) -> GlobalRomSystem:
-    """Mirror the full-order assembly with dense reduced blocks.
+    """Reduced global system from the projected component blocks.
 
     ``reduced_interfaces`` maps (ref_m, ref_n, orientation) to
     :class:`ReducedInterfaceBlocks`.
@@ -140,151 +98,25 @@ def assemble_global_rom(
         raise ValueError(f"unknown advection backend {backend!r}")
     t0 = time.perf_counter()
     grid.validate_components(reduced)
-    M = grid.n_subdomains
-    names = [grid.component_name(m) for m in range(M)]
+    names = [grid.component_name(m) for m in range(grid.n_subdomains)]
     for name in set(names):
         red = reduced[name]
         if backend == TENSORIAL and red.tensor is None:
             raise ValueError(f"component {name!r} has no advection tensor")
         if backend == EQP and red.eqp_rule is None:
             raise ValueError(f"component {name!r} has no trained quadrature rule")
-
-    off_u = np.zeros(M + 1, dtype=int)
-    off_p = np.zeros(M + 1, dtype=int)
-    fom_off_u = np.zeros(M + 1, dtype=int)
-    fom_off_p = np.zeros(M + 1, dtype=int)
-    for m in range(M):
-        red = reduced[names[m]]
-        off_u[m + 1] = off_u[m] + red.r_u
-        off_p[m + 1] = off_p[m] + red.r_p
-        fom_off_u[m + 1] = fom_off_u[m] + red.basis.n_u
-        fom_off_p[m + 1] = fom_off_p[m] + red.basis.n_p
-    n_u, n_p = int(off_u[-1]), int(off_p[-1])
-
-    kr, kc, kv = [], [], []
-    br, bc_, bv = [], [], []
-    cr, cc, cv = [], [], []
-    rhs_u = np.zeros(n_u)
-    rhs_p = np.zeros(n_p)
-
-    def add(dest, mat, row_off, col_off):
-        r, c, v = dest
-        nr, nc = mat.shape
-        r.append(np.repeat(np.arange(nr), nc) + row_off)
-        c.append(np.tile(np.arange(nc), nr) + col_off)
-        v.append(np.asarray(mat).ravel())
-
-    any_neumann = any(grid.bc[s].kind == "neumann" for s in SIDES)
-
-    for m in range(M):
-        red = reduced[names[m]]
-        add((kr, kc, kv), red.K, off_u[m], off_u[m])
-        add((br, bc_, bv), red.B, off_p[m], off_u[m])
-        add((cr, cc, cv), red.C, off_p[m], off_p[m])
-        origin = grid.cell_origin(m)
-        col, row = m % grid.cols, m // grid.cols
-        if grid.forcing is not None:
-            rhs_u[off_u[m] : off_u[m + 1]] += red.forcing_load(grid.forcing, origin)
-        for side in SIDES:
-            if not _SIDE_OF_CELL[side](col, row, grid):
-                continue
-            bc = grid.bc[side]
-            if bc.kind == "dirichlet":
-                add((kr, kc, kv), red.K_di[side], off_u[m], off_u[m])
-                add((br, bc_, bv), red.B_di[side], off_p[m], off_u[m])
-                g = np.asarray(
-                    bc.velocity(red.load_xy[side] + origin), dtype=float
-                ).reshape(-1)
-                rhs_u[off_u[m] : off_u[m + 1]] += red.load_u[side] @ g
-                rhs_p[off_p[m] : off_p[m + 1]] += red.load_p[side] @ g
-            elif bc.velocity is not None:
-                g = np.asarray(
-                    bc.velocity(red.load_xy[side] + origin), dtype=float
-                ).reshape(-1)
-                rhs_u[off_u[m] : off_u[m + 1]] += red.load_ne[side] @ g
-        if "O" in red.K_di:
-            add((kr, kc, kv), red.K_di["O"], off_u[m], off_u[m])
-            add((br, bc_, bv), red.B_di["O"], off_p[m], off_u[m])
-
-    interfaces = _rom_interfaces(grid, reduced)
-    for entry in interfaces.entries:
-        key = (names[entry.m], names[entry.n], entry.orientation)
-        if key not in reduced_interfaces:
-            raise KeyError(f"missing reduced interface blocks for configuration {key}")
-        blocks: ReducedInterfaceBlocks = reduced_interfaces[key]
-        offs = {"m": entry.m, "n": entry.n}
-        for s in ("m", "n"):
-            for t in ("m", "n"):
-                add((kr, kc, kv), blocks.K[s + t], off_u[offs[s]], off_u[offs[t]])
-                add((br, bc_, bv), blocks.B[s + t], off_p[offs[s]], off_u[offs[t]])
-
-    K = sp.coo_matrix(
-        (np.concatenate(kv), (np.concatenate(kr), np.concatenate(kc))), shape=(n_u, n_u)
-    ).tocsr()
-    B = sp.coo_matrix(
-        (np.concatenate(bv), (np.concatenate(br), np.concatenate(bc_))), shape=(n_p, n_u)
-    ).tocsr()
-    C = sp.coo_matrix(
-        (np.concatenate(cv), (np.concatenate(cr), np.concatenate(cc))), shape=(n_p, n_p)
-    ).tocsr()
-    C.eliminate_zeros()
-
-    mean_row = None
-    if not any_neumann:
-        mean_row = np.zeros(n_p)
-        for m in range(M):
-            mean_row[off_p[m] : off_p[m + 1]] = reduced[names[m]].pressure_mean
-    system = GlobalRomSystem(
-        grid=grid,
+    system = assemble_blocks(
+        GlobalRomSystem,
+        grid,
+        reduced,
+        reduced_interfaces,
         reduced=reduced,
         backend=backend,
-        off_u=off_u,
-        off_p=off_p,
-        n_u=n_u,
-        n_p=n_p,
-        K=K,
-        B=B,
-        C=C,
-        rhs_u=rhs_u,
-        rhs_p=rhs_p,
-        pressure_constraint=not any_neumann,
-        mean_row=mean_row,
-        fom_off_u=fom_off_u,
-        fom_off_p=fom_off_p,
+        fom_off_u=_offsets([reduced[name].basis.n_u for name in names]),
+        fom_off_p=_offsets([reduced[name].basis.n_p for name in names]),
     )
     system.assembly_time = time.perf_counter() - t0
     return system
-
-
-def _rom_interfaces(grid: GridConfig, reduced: Mapping) -> InterfaceList:
-    """Interface topology only (m, n, orientation); face pairing is offline."""
-    from .geometry import InterfaceEntry
-
-    entries = []
-    for row in range(grid.rows):
-        for col in range(grid.cols - 1):
-            entries.append(
-                InterfaceEntry(grid.subdomain(col, row), grid.subdomain(col + 1, row), "H", [])
-            )
-    for row in range(grid.rows - 1):
-        for col in range(grid.cols):
-            entries.append(
-                InterfaceEntry(grid.subdomain(col, row), grid.subdomain(col, row + 1), "V", [])
-            )
-    return InterfaceList(entries)
-
-
-def _split(system: GlobalRomSystem, x: np.ndarray):
-    return x[: system.n_u], x[system.n_u : system.n_u + system.n_p]
-
-
-def _residual_vector(system: GlobalRomSystem, x: np.ndarray) -> np.ndarray:
-    u, p = _split(system, x)
-    r_u, r_p = system.residual(u, p)
-    if system.pressure_constraint:
-        r_p = r_p + x[-1] * system.mean_row
-        return np.concatenate([r_u, r_p, [system.mean_row @ p]])
-    return np.concatenate([r_u, r_p])
 
 
 def solve_rom_newton(
@@ -292,59 +124,15 @@ def solve_rom_newton(
     tol_rel: float = 1e-8,
     tol_abs: float = 1e-10,
     max_iter: int = 50,
-    stokes_init: bool = False,
 ):
-    """Newton on the reduced system; zero initial reduced state by default."""
+    """Newton on the reduced system from the zero reduced state.
+
+    Returns (u_hat, p_hat, report); non-convergence, a singular
+    factorization included, is reported, not raised.
+    """
     t_start = time.perf_counter()
     x = np.zeros(system.n_dof)
-    if stokes_init:
-        mat = system._saddle(system.K)
-        rhs = np.concatenate([system.rhs_u, system.rhs_p])
-        if system.pressure_constraint:
-            rhs = np.concatenate([rhs, [0.0]])
-        x = saddle_lu(mat).solve(rhs)
-    r = _residual_vector(system, x)
-    history = [float(np.linalg.norm(r))]
-    target = max(tol_rel * history[0], tol_abs)
-    converged = history[0] <= target
-    message = ""
-    it = 0
-    while not converged and it < max_iter:
-        u, _ = _split(system, x)
-        jac = system._saddle(system.K + system.advection_jacobian(u))
-        try:
-            lu = saddle_lu(jac)
-        except RuntimeError as exc:
-            u_hat, p_hat = _split(system, x)
-            report = SolveReport(
-                it,
-                history,
-                {"assembly": system.assembly_time, "total": time.perf_counter() - t_start},
-                False,
-                f"singular reduced factorization: {exc}",
-            )
-            return u_hat, p_hat, report
-        x = x + lu.solve(-r)
-        r = _residual_vector(system, x)
-        history.append(float(np.linalg.norm(r)))
-        it += 1
-        if history[-1] <= target:
-            converged = True
-        elif not np.isfinite(history[-1]):
-            message = "residual diverged"
-            break
-    u_hat, p_hat = _split(system, x)
-    report = SolveReport(
-        newton_iterations=it,
-        residual_history=history,
-        wall_times={
-            "assembly": system.assembly_time,
-            "total": time.perf_counter() - t_start,
-        },
-        converged=bool(converged),
-        message=message,
-    )
-    return u_hat, p_hat, report
+    return newton(system, x, saddle_lu, tol_rel, tol_abs, max_iter, t_start, 0.0)
 
 
 def lift(system: GlobalRomSystem, u_hat: np.ndarray, p_hat: np.ndarray) -> LiftedSolution:

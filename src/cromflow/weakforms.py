@@ -166,7 +166,7 @@ class BoundaryLoadBuilder:
     """
 
     xy: np.ndarray                 # (q_total, 2) quadrature points, local coords
-    dirichlet_u: sp.csr_matrix     # (n_u, 2 q_total)
+    dirichlet_u: sp.csr_matrix     # (n_u, 2 q_total); dense once projected
     dirichlet_p: sp.csr_matrix     # (n_p, 2 q_total)
     neumann_u: sp.csr_matrix       # (n_u, 2 q_total)
 
@@ -196,6 +196,11 @@ class ComponentOperators:
     adv: AdvectionKernel
     pressure_mean: np.ndarray = field(repr=False, default=None)
     pressure_stiffness: sp.csr_matrix = field(repr=False, default=None)
+
+    @property
+    def C(self) -> sp.csr_matrix:
+        """Pressure block of the saddle system: empty at full order."""
+        return sp.csr_matrix((self.space.n_p, self.space.n_p))
 
     def forcing_load(self, f: Callable, origin=np.zeros(2)) -> np.ndarray:
         """Body-force load (u_test, f) with f given in global coordinates."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cromflow import fom
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.fom import (
     assemble_global,
@@ -241,6 +242,35 @@ class TestNewton:
         u, p, report = solve_newton(system, tol_rel=1e-14, tol_abs=1e-16, max_iter=0)
         assert not report.converged
         assert report.newton_iterations == 0
+
+    def test_singular_newton_factorization_is_reported(self, empty_parts, monkeypatch):
+        space, ops, blocks = empty_parts
+        g = lambda xy: np.stack([xy[:, 1], np.zeros(len(xy))], axis=-1)
+        bc = {
+            "L": SideBC("dirichlet", g),
+            "B": SideBC("dirichlet", zero_g),
+            "T": SideBC("neumann"),
+            "R": SideBC("neumann"),
+        }
+        system = assemble_global(GridConfig(1, 1, [["empty"]], NU, bc), ops, blocks)
+        calls = []
+        factorize = fom.saddle_lu
+
+        def singular_after_stokes(mat):
+            calls.append(mat.shape)
+            if len(calls) > 1:
+                raise RuntimeError("Factor is exactly singular")
+            return factorize(mat)
+
+        monkeypatch.setattr(fom, "saddle_lu", singular_after_stokes)
+        u, p, report = solve_newton(system)
+        assert len(calls) == 2
+        assert not report.converged
+        assert report.newton_iterations == 0
+        assert "singular" in report.message
+        assert len(report.residual_history) == 1
+        assert u.shape == (system.n_u,) and p.shape == (system.n_p,)
+        assert set(report.wall_times) == {"assembly", "factorization", "total"}
 
     def test_interpolated_channel_residual_tiny(self, empty_parts):
         space, ops, blocks = empty_parts

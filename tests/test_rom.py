@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cromflow import rom
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.fom import assemble_global, solve_newton
 from cromflow.geometry import GridConfig, SideBC, generate_empty_mesh
@@ -127,6 +128,38 @@ class TestSolve:
         errs = relative_errors(fom_sys, u_f, p_f, lift(rom_sys, uh, ph))
         assert errs["velocity_rel_l2"] < 1e-10
         assert errs["pressure_rel_l2"] < 1e-10
+
+    def test_reports_share_wall_time_keys_with_fom(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 8, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
+        _, _, rep_f = solve_newton(assemble_global(grid, ops, blocks))
+        _, _, rep_r = solve_rom_newton(assemble_global_rom(grid, reduced, riface))
+        keys = {"assembly", "factorization", "total"}
+        assert set(rep_f.wall_times) == set(rep_r.wall_times) == keys
+        assert rep_r.newton_iterations > 0
+        assert rep_r.wall_times["factorization"] > 0.0
+
+    def test_singular_factorization_is_reported(self, parts, monkeypatch):
+        space, ops, blocks = parts
+        basis = random_basis(space, 8, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
+        system = assemble_global_rom(grid, reduced, riface)
+
+        def singular(mat):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(rom, "saddle_lu", singular)
+        uh, ph, report = solve_rom_newton(system)
+        assert not report.converged
+        assert report.newton_iterations == 0
+        assert "singular" in report.message
+        assert not np.any(uh) and not np.any(ph)
+        assert set(report.wall_times) == {"assembly", "factorization", "total"}
 
     def test_zero_inflow_zero_state(self, parts):
         space, ops, blocks = parts
