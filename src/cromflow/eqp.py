@@ -58,6 +58,7 @@ class EqpRule:
     n_basis: int
     basis_values: np.ndarray = field(repr=False, default=None)    # (n, R, 2)
     basis_grads: np.ndarray = field(repr=False, default=None)     # (n, R, 2, 2)
+    _layouts: tuple = field(repr=False, default=None, init=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -70,6 +71,24 @@ class EqpRule:
     @property
     def n_points(self) -> int:
         return self.weights.size
+
+    def layouts(self):
+        """The basis data as matrices for the stacked kernels.
+
+        Returns ``basis`` (2n, 4, R), whose rows for point q and velocity
+        component c are phi_0, phi_1, d_0 phi_c and d_1 phi_c, and the
+        weighted test values (R, 2n), w_q phi_c at column (q, c).  Derived on
+        first use and again whenever ``basis_values`` is replaced.
+        """
+        if self._layouts is None or self._layouts[0] is not self.basis_values:
+            v = self.basis_values
+            n, r = v.shape[:2]
+            basis = np.empty((n, 2, 4, r))
+            basis[:, :, :2] = v.transpose(0, 2, 1)[:, None]
+            basis[:, :, 2:] = self.basis_grads.transpose(0, 2, 3, 1)
+            test = np.ascontiguousarray((self.weights[:, None, None] * v).transpose(1, 0, 2))
+            self._layouts = (v, basis.reshape(2 * n, 4, r), test.reshape(r, 2 * n))
+        return self._layouts[1:]
 
 
 def build_manifest(ops: ComponentOperators, phi_u: np.ndarray, snapshots) -> EqpManifest:
@@ -203,8 +222,20 @@ def train_rule(
 
 
 def attach_basis_data(rule: EqpRule, ops: ComponentOperators, phi_u: np.ndarray) -> EqpRule:
-    """Recompute the cached per-point basis data (after loading from file)."""
-    n_q = ops.space.qw.shape[1]
+    """Recompute the cached per-point basis data (after loading from file).
+
+    Raises :class:`~cromflow._binio.FormatError` when a point lies outside
+    the component's mesh or quadrature rule.
+    """
+    n_el, n_q = ops.space.qw.shape
+    if np.any((rule.element_ids < 0) | (rule.element_ids >= n_el)):
+        raise _binio.FormatError(
+            f"quadrature rule {rule.component!r}: element index outside 0..{n_el - 1}"
+        )
+    if np.any((rule.local_ids < 0) | (rule.local_ids >= n_q)):
+        raise _binio.FormatError(
+            f"quadrature rule {rule.component!r}: local point index outside 0..{n_q - 1}"
+        )
     flat = rule.element_ids * n_q + rule.local_ids
     vals, grads = ops.adv.basis_at_quad(phi_u)
     rule.basis_values = vals[flat]
@@ -213,25 +244,37 @@ def attach_basis_data(rule: EqpRule, ops: ComponentOperators, phi_u: np.ndarray)
     return rule
 
 
+def _at_points(basis: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
+    """u_0, u_1, d_0 u_c and d_1 u_c at each (point, component c), (2n, 4, M),
+    of one state (R,) or M stacked states (R, M)."""
+    n2, _, r = basis.shape
+    U = np.reshape(u_hat, (r, -1))
+    return (basis.reshape(-1, r) @ U).reshape(n2, 4, U.shape[1])
+
+
 def eqp_advection_value(rule: EqpRule, u_hat: np.ndarray) -> np.ndarray:
-    """Reduced advection evaluated on the sparse point set."""
-    if rule.n_points == 0:
-        return np.zeros(rule.n_basis)
-    u = np.einsum("qkc,k->qc", rule.basis_values, u_hat)
-    gu = np.einsum("qkcd,k->qcd", rule.basis_grads, u_hat)
-    a = np.einsum("qd,qcd->qc", u, gu)
-    return np.einsum("q,qic,qc->i", rule.weights, rule.basis_values, a)
+    """Reduced advection evaluated on the sparse point set.
+
+    ``u_hat`` is one reduced state (R,) or M states as columns (R, M); the
+    result has the same shape.
+    """
+    basis, test = rule.layouts()
+    z = _at_points(basis, u_hat)
+    # (u . grad) u_c at every (point, c), one column per state
+    return (test @ (z[:, 0] * z[:, 2] + z[:, 1] * z[:, 3])).reshape(np.shape(u_hat))
 
 
 def eqp_advection_jacobian(rule: EqpRule, u_hat: np.ndarray) -> np.ndarray:
-    if rule.n_points == 0:
-        return np.zeros((rule.n_basis, rule.n_basis))
-    u = np.einsum("qkc,k->qc", rule.basis_values, u_hat)
-    gu = np.einsum("qkcd,k->qcd", rule.basis_grads, u_hat)
-    # d/du_l: phi_l . grad u + u . grad phi_l
-    t1 = np.einsum("qld,qcd->qcl", rule.basis_values, gu)
-    t2 = np.einsum("qd,qlcd->qcl", u, rule.basis_grads)
-    return np.einsum("q,qic,qcl->il", rule.weights, rule.basis_values, t1 + t2)
+    """Derivative of :func:`eqp_advection_value`: (R, R), or (M, R, R) for
+    M stacked states."""
+    basis, test = rule.layouts()
+    z = _at_points(basis, u_hat)
+    r, m = test.shape[0], z.shape[2]
+    # d/du_l of (u . grad) u_c = d_d u_c phi_l,d + u_d d_d phi_l,c: the basis
+    # rows against z with its halves swapped, one (M, 4) @ (4, R) per (point, c)
+    t = np.matmul(np.roll(z, 2, axis=1).transpose(0, 2, 1), basis)
+    jac = (test @ t.reshape(-1, m * r)).reshape(r, m, r).transpose(1, 0, 2)
+    return jac[0] if np.ndim(u_hat) == 1 else jac
 
 
 def save_rule(rule: EqpRule, path) -> None:

@@ -12,6 +12,7 @@ LU factorization; the full-order solve starts from a Stokes solve.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -46,7 +47,11 @@ def saddle_lu(mat):
 class SolveReport:
     newton_iterations: int
     residual_history: list
-    wall_times: dict                    # assembly, factorization, total (seconds)
+    # seconds: assembly; the Newton phases jacobian (advection Jacobian),
+    # saddle (K + Jacobian and the saddle matrix), factorization (LU; the
+    # full-order Stokes start counts here too), solve (back-solve and update)
+    # and residual; total, from the start of the solve
+    wall_times: dict
     converged: bool
     message: str = ""
 
@@ -240,6 +245,15 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     )
 
 
+@contextmanager
+def _timed(times: dict, phase: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[phase] += time.perf_counter() - t0
+
+
 def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_start, t_fact):
     """Newton-Raphson on a block system from the stacked state ``x``.
 
@@ -249,7 +263,10 @@ def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_star
     residual ends the loop with a non-converged report.  Returns
     (u, p, report).
     """
-    r = system._residual_vector(x)
+    times = dict.fromkeys(("jacobian", "saddle", "factorization", "solve", "residual"), 0.0)
+    times["factorization"] = t_fact
+    with _timed(times, "residual"):
+        r = system._residual_vector(x)
     history = [float(np.linalg.norm(r))]
     target = max(tol_rel * history[0], tol_abs)
     converged = history[0] <= target
@@ -257,17 +274,20 @@ def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_star
     it = 0
     while not converged and it < max_iter:
         u, _ = system._split(x)
-        t0 = time.perf_counter()
-        jac = system._saddle(system.K + system.advection_jacobian(u))
+        with _timed(times, "jacobian"):
+            adv = system.advection_jacobian(u)
+        with _timed(times, "saddle"):
+            jac = system._saddle(system.K + adv)
         try:
-            lu = factorize(jac)
+            with _timed(times, "factorization"):
+                lu = factorize(jac)
         except RuntimeError as exc:
-            t_fact += time.perf_counter() - t0
             message = f"singular Newton factorization: {exc}"
             break
-        x = x + lu.solve(-r)
-        t_fact += time.perf_counter() - t0
-        r = system._residual_vector(x)
+        with _timed(times, "solve"):
+            x = x + lu.solve(-r)
+        with _timed(times, "residual"):
+            r = system._residual_vector(x)
         history.append(float(np.linalg.norm(r)))
         it += 1
         if history[-1] <= target:
@@ -281,7 +301,7 @@ def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_star
         residual_history=history,
         wall_times={
             "assembly": system.assembly_time,
-            "factorization": t_fact,
+            **times,
             "total": time.perf_counter() - t_start,
         },
         converged=bool(converged),

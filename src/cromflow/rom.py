@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -46,26 +47,40 @@ class GlobalRomSystem(BlockSystem):
     def red_of(self, m: int) -> ReducedComponentOperators:
         return self.reduced[self.grid.component_name(m)]
 
+    @cached_property
+    def _type_groups(self) -> list:
+        """(reduced operators, subdomains, velocity rows (M, R)) per component type.
+
+        The advection kernels take the M reduced states of one type stacked
+        as columns, so each type costs one kernel call per evaluation.
+        """
+        members = {}
+        for m in range(self.grid.n_subdomains):
+            members.setdefault(self.grid.component_name(m), []).append(m)
+        groups = []
+        for name, ms in members.items():
+            red = self.reduced[name]
+            groups.append((red, ms, self.off_u[ms][:, None] + np.arange(red.r_u)))
+        return groups
+
     def advection_value(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
-        for m in range(self.grid.n_subdomains):
-            red = self.red_of(m)
-            uh = u_hat[self.slice_u(m)]
+        for red, _, rows in self._type_groups:
             if self.backend == TENSORIAL:
-                out[self.slice_u(m)] = tensor_contract(red.tensor, uh)
+                out[rows] = tensor_contract(red.tensor, u_hat[rows].T).T
             else:
-                out[self.slice_u(m)] = eqp_advection_value(red.eqp_rule, uh)
+                out[rows] = eqp_advection_value(red.eqp_rule, u_hat[rows].T).T
         return out
 
     def advection_jacobian(self, u_hat: np.ndarray) -> sp.csr_matrix:
-        blocks = []
-        for m in range(self.grid.n_subdomains):
-            red = self.red_of(m)
-            uh = u_hat[self.slice_u(m)]
+        blocks = [None] * self.grid.n_subdomains
+        for red, ms, rows in self._type_groups:
             if self.backend == TENSORIAL:
-                blocks.append(tensor_jacobian(red.tensor, uh))
+                jac = tensor_jacobian(red.tensor, u_hat[rows].T)
             else:
-                blocks.append(eqp_advection_jacobian(red.eqp_rule, uh))
+                jac = eqp_advection_jacobian(red.eqp_rule, u_hat[rows].T)
+            for m, block in zip(ms, jac):
+                blocks[m] = block
         return sp.block_diag(blocks, format="csr")
 
     def divergence_sigma_min(self) -> float:
@@ -101,10 +116,22 @@ def assemble_global_rom(
     names = [grid.component_name(m) for m in range(grid.n_subdomains)]
     for name in set(names):
         red = reduced[name]
-        if backend == TENSORIAL and red.tensor is None:
-            raise ValueError(f"component {name!r} has no advection tensor")
-        if backend == EQP and red.eqp_rule is None:
-            raise ValueError(f"component {name!r} has no trained quadrature rule")
+        if backend == TENSORIAL:
+            if red.tensor is None:
+                raise ValueError(f"component {name!r} has no advection tensor")
+            if red.tensor.shape != (red.r_u,) * 3:
+                raise ValueError(
+                    f"component {name!r}: advection tensor of shape {red.tensor.shape}"
+                    f" does not match its {red.r_u} velocity modes"
+                )
+        else:
+            if red.eqp_rule is None:
+                raise ValueError(f"component {name!r} has no trained quadrature rule")
+            if red.eqp_rule.n_basis != red.r_u:
+                raise ValueError(
+                    f"component {name!r}: quadrature rule attached to a basis of"
+                    f" {red.eqp_rule.n_basis} velocity modes, not its {red.r_u}"
+                )
     system = assemble_blocks(
         GlobalRomSystem,
         grid,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cromflow._binio import FormatError
 from cromflow.eqp import (
     EqpError,
     EqpRule,
@@ -19,6 +20,26 @@ from cromflow.reduction import SnapshotSet, build_advection_tensor, tensor_contr
 from cromflow.weakforms import build_component_operators
 
 NU = 0.04
+
+
+def oracle_value(rule, uh):
+    """Per-state einsum evaluation of the rule, the reference for the kernels."""
+    u = np.einsum("qkc,k->qc", rule.basis_values, uh)
+    gu = np.einsum("qkcd,k->qcd", rule.basis_grads, uh)
+    a = np.einsum("qd,qcd->qc", u, gu)
+    return np.einsum("q,qic,qc->i", rule.weights, rule.basis_values, a)
+
+
+def oracle_jacobian(rule, uh):
+    u = np.einsum("qkc,k->qc", rule.basis_values, uh)
+    gu = np.einsum("qkcd,k->qcd", rule.basis_grads, uh)
+    t1 = np.einsum("qld,qcd->qcl", rule.basis_values, gu)
+    t2 = np.einsum("qd,qlcd->qcl", u, rule.basis_grads)
+    return np.einsum("q,qic,qcl->il", rule.weights, rule.basis_values, t1 + t2)
+
+
+def rel_diff(got, ref):
+    return np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-300)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +209,56 @@ class TestEvaluation:
         assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-6
 
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_stacked_states_match_oracle(self, setup, m):
+        space, ops, snaps, phi, manifest = setup
+        rule = train_rule(manifest, ops, phi, eps=1e-3)
+        U = np.random.default_rng(10 + m).standard_normal((6, m))
+        value = eqp_advection_value(rule, U)
+        jac = eqp_advection_jacobian(rule, U)
+        assert value.shape == (6, m) and jac.shape == (m, 6, 6)
+        for k in range(m):
+            assert rel_diff(value[:, k], oracle_value(rule, U[:, k])) < 1e-12
+            assert rel_diff(jac[k], oracle_jacobian(rule, U[:, k])) < 1e-12
+        assert rel_diff(eqp_advection_value(rule, U[:, 0]), oracle_value(rule, U[:, 0])) < 1e-12
+        assert rel_diff(eqp_advection_jacobian(rule, U[:, 0]), oracle_jacobian(rule, U[:, 0])) < 1e-12
+
+    def test_stacked_jacobian_vs_finite_differences(self, setup):
+        space, ops, snaps, phi, manifest = setup
+        rule = train_rule(manifest, ops, phi, eps=1e-3)
+        rng = np.random.default_rng(11)
+        U = rng.standard_normal((6, 3))
+        V = rng.standard_normal((6, 3))
+        eps = 1e-6
+        fd = (eqp_advection_value(rule, U + eps * V) - eqp_advection_value(rule, U - eps * V)) / (2 * eps)
+        jac = eqp_advection_jacobian(rule, U)
+        for k in range(3):
+            jv = jac[k] @ V[:, k]
+            assert np.linalg.norm(fd[:, k] - jv) / np.linalg.norm(jv) < 1e-6
+
+    def test_zero_point_rule_gives_zeros_of_every_shape(self, setup):
+        space, ops, snaps, phi, manifest = setup
+        rule = train_rule(manifest, ops, phi, eps=1.0)
+        assert rule.n_points == 0
+        U = np.random.default_rng(12).standard_normal((6, 4))
+        for got, shape in [
+            (eqp_advection_value(rule, U), (6, 4)),
+            (eqp_advection_jacobian(rule, U), (4, 6, 6)),
+            (eqp_advection_value(rule, U[:, 0]), (6,)),
+            (eqp_advection_jacobian(rule, U[:, 0]), (6, 6)),
+        ]:
+            assert got.shape == shape and not np.any(got)
+
+    def test_reattached_basis_replaces_the_layouts(self, setup):
+        space, ops, snaps, phi, manifest = setup
+        rule = train_rule(manifest, ops, phi, eps=1e-3)
+        uh = np.random.default_rng(13).standard_normal(6)
+        eqp_advection_value(rule, uh)
+        attach_basis_data(rule, ops, -phi)
+        assert rel_diff(eqp_advection_value(rule, uh), oracle_value(rule, uh)) < 1e-12
+        assert rel_diff(eqp_advection_jacobian(rule, uh), oracle_jacobian(rule, uh)) < 1e-12
+
+
 class TestRuleFile:
     def test_round_trip(self, setup, tmp_path):
         space, ops, snaps, phi, manifest = setup
@@ -222,3 +293,25 @@ class TestRuleFile:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="positive"):
             load_rule(path)
+
+    @pytest.mark.parametrize(
+        "field,offset,fmt,value",
+        [("local", 4, "<B", 7), ("element", 0, "<I", 10**6)],
+    )
+    def test_point_outside_the_mesh_rejected_on_attach(
+        self, setup, tmp_path, field, offset, fmt, value
+    ):
+        space, ops, snaps, phi, manifest = setup
+        rule = train_rule(manifest, ops, phi, eps=1e-3)
+        path = tmp_path / "rule.bin"
+        save_rule(rule, path)
+        raw = bytearray(path.read_bytes())
+        import struct
+
+        # the first point's (u32 element, u8 local index) follows magic+name+count
+        first = len(b"CROMEQP1") + 2 + len(rule.component.encode()) + 8
+        struct.pack_into(fmt, raw, first + offset, value)
+        path.write_bytes(raw)
+        loaded = load_rule(path)
+        with pytest.raises(FormatError, match=field):
+            attach_basis_data(loaded, ops, phi)

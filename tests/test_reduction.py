@@ -335,6 +335,29 @@ class TestAdvectionTensor:
         assert np.abs(fd - jv).max() / max(np.abs(jv).max(), 1e-12) < 1e-7
 
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_stacked_states_match_oracle(self, ops, space, m):
+        rng = np.random.default_rng(20 + m)
+        phi = np.linalg.qr(rng.standard_normal((space.n_u, 6)))[0]
+        t = build_advection_tensor(ops, phi)
+        U = rng.standard_normal((6, m))
+        value = tensor_contract(t, U)
+        jac = tensor_jacobian(t, U)
+        assert value.shape == (6, m) and jac.shape == (m, 6, 6)
+        for k in range(m):
+            uh = U[:, k]
+            # per-state reference formulas
+            ref_value = (t @ uh) @ uh
+            ref_jac = t @ uh + np.einsum("ijl,j->il", t, uh)
+            for got, ref in [
+                (value[:, k], ref_value),
+                (jac[k], ref_jac),
+                (tensor_contract(t, uh), ref_value),
+                (tensor_jacobian(t, uh), ref_jac),
+            ]:
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestBuildPodBasis:
     def test_pipeline(self, ops, space):
         rng = np.random.default_rng(10)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cromflow import rom
+from cromflow.eqp import EqpRule
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.fom import assemble_global, solve_newton
 from cromflow.geometry import GridConfig, SideBC, generate_empty_mesh
+from cromflow.harness import ExperimentConfig, build_component_set
 from cromflow.reduction import (
     PodBasis,
     build_advection_tensor,
@@ -21,7 +24,16 @@ from cromflow.rom import (
 )
 from cromflow.weakforms import assemble_interface_blocks, build_component_operators
 
+from test_eqp import oracle_jacobian, oracle_value
+
 NU = 0.04
+NEWTON_PHASES = ("jacobian", "saddle", "factorization", "solve", "residual")
+
+
+def assert_phases_within_total(report):
+    # disjoint intervals of one clock; the slack covers the rounding of the sum
+    parts = sum(report.wall_times[k] for k in NEWTON_PHASES)
+    assert parts <= report.wall_times["total"] + 1e-9
 
 
 def channel_profile(xy):
@@ -52,12 +64,61 @@ def identity_basis(space):
     )
 
 
-def random_basis(space, r_u, r_p, seed=0, pressure_penalty=0.0):
+def random_basis(space, r_u, r_p, seed=0, pressure_penalty=0.0, name="empty"):
     rng = np.random.default_rng(seed)
     pu = np.linalg.qr(rng.standard_normal((space.n_u, r_u)))[0]
     pp = np.linalg.qr(rng.standard_normal((space.n_p, r_p)))[0]
     return PodBasis(
-        "empty", pu, pp, np.ones(r_u), np.ones(r_p), r_u, r_p, 0, pressure_penalty
+        name, pu, pp, np.ones(r_u), np.ones(r_p), r_u, r_p, 0, pressure_penalty
+    )
+
+
+def sampled_rule(name, ops, phi, seed):
+    """EQP rule on a random tenth of the quadrature points, random weights."""
+    rng = np.random.default_rng(seed)
+    elem, loc = ops.adv.point_ids()
+    sel = np.sort(rng.choice(elem.size, elem.size // 10, replace=False))
+    vals, grads = ops.adv.basis_at_quad(phi)
+    weights = rng.uniform(0.5, 1.5, sel.size) * ops.adv.quad_weights[sel]
+    return EqpRule(
+        name, elem[sel], loc[sel], weights, 1.0, 0.0, phi.shape[1], vals[sel], grads[sel]
+    )
+
+
+@pytest.fixture(scope="module")
+def mixed_3x3():
+    """3x3 grid holding all three component types, with a different basis
+    size per type and both advection backends' data."""
+    parts = build_component_set(ExperimentConfig(n_per_side=4))
+    sizes = {"empty": 7, "square": 5, "circle": 6}
+    bases = {
+        name: random_basis(parts.spaces[name], r, 3, seed=i, name=name)
+        for i, (name, r) in enumerate(sizes.items())
+    }
+    reduced, riface = project_linear(parts.operators, parts.interface_blocks, bases)
+    for i, (name, red) in enumerate(reduced.items()):
+        phi = bases[name].phi_u
+        red.tensor = build_advection_tensor(parts.operators[name], phi)
+        red.eqp_rule = sampled_rule(name, parts.operators[name], phi, seed=10 + i)
+    cells = [
+        ["empty", "square", "circle"],
+        ["circle", "empty", "square"],
+        ["square", "circle", "empty"],
+    ]
+    grid = GridConfig(3, 3, cells, NU, channel_bc())
+    return grid, reduced, riface
+
+
+def oracle_kernels(backend):
+    """Per-state reference evaluations of one backend: (value, jacobian)."""
+    if backend == "tensorial":
+        return (
+            lambda red, uh: (red.tensor @ uh) @ uh,
+            lambda red, uh: red.tensor @ uh + np.einsum("ijl,j->il", red.tensor, uh),
+        )
+    return (
+        lambda red, uh: oracle_value(red.eqp_rule, uh),
+        lambda red, uh: oracle_jacobian(red.eqp_rule, uh),
     )
 
 
@@ -112,6 +173,66 @@ class TestAssembly:
         with pytest.raises(ValueError, match="rule"):
             assemble_global_rom(grid, reduced, riface, "eqp")
 
+    def test_mismatched_tensor_raises(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 5, 2)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u[:, :4])
+        grid = GridConfig(1, 1, [["empty"]], NU, channel_bc())
+        with pytest.raises(ValueError, match="'empty'.*tensor of shape"):
+            assemble_global_rom(grid, reduced, riface, "tensorial")
+
+    def test_rule_of_another_basis_raises(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 5, 2)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].eqp_rule = sampled_rule("empty", ops["empty"], basis.phi_u[:, :4], 0)
+        grid = GridConfig(1, 1, [["empty"]], NU, channel_bc())
+        with pytest.raises(ValueError, match="'empty'.*basis of 4 velocity modes"):
+            assemble_global_rom(grid, reduced, riface, "eqp")
+
+
+class TestStackedAdvection:
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    def test_matches_per_subdomain_oracle(self, mixed_3x3, backend):
+        grid, reduced, riface = mixed_3x3
+        system = assemble_global_rom(grid, reduced, riface, backend)
+        value_of, jacobian_of = oracle_kernels(backend)
+        uh = np.random.default_rng(14).standard_normal(system.n_u)
+        ref_value = np.zeros(system.n_u)
+        ref_blocks = []
+        for m in range(grid.n_subdomains):
+            red, sl = system.red_of(m), system.slice_u(m)
+            ref_value[sl] = value_of(red, uh[sl])
+            ref_blocks.append(jacobian_of(red, uh[sl]))
+        ref_jac = sp.block_diag(ref_blocks).toarray()
+        got_jac = system.advection_jacobian(uh)
+        assert sp.isspmatrix_csr(got_jac)
+        value = system.advection_value(uh)
+        assert np.linalg.norm(value - ref_value) <= 1e-12 * np.linalg.norm(ref_value)
+        assert np.linalg.norm(got_jac.toarray() - ref_jac) <= 1e-12 * np.linalg.norm(ref_jac)
+
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    def test_one_kernel_call_per_component_type_per_newton_step(
+        self, mixed_3x3, backend, monkeypatch
+    ):
+        # the benchmark's tracer attributes kernel time through these names
+        grid, reduced, riface = mixed_3x3
+        calls = []
+        for name in ("tensor_jacobian", "eqp_advection_jacobian"):
+            kernel = getattr(rom, name)
+
+            def counted(*args, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(rom, name, counted)
+        system = assemble_global_rom(grid, reduced, riface, backend)
+        _, _, report = solve_rom_newton(system, max_iter=2)
+        assert report.newton_iterations == 2
+        expected = "tensor_jacobian" if backend == "tensorial" else "eqp_advection_jacobian"
+        assert calls == [expected] * 3 * report.newton_iterations
+
 
 class TestSolve:
     def test_identity_basis_matches_fom_solution(self, parts):
@@ -137,10 +258,13 @@ class TestSolve:
         grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
         _, _, rep_f = solve_newton(assemble_global(grid, ops, blocks))
         _, _, rep_r = solve_rom_newton(assemble_global_rom(grid, reduced, riface))
-        keys = {"assembly", "factorization", "total"}
+        keys = {"assembly", "total", *NEWTON_PHASES}
         assert set(rep_f.wall_times) == set(rep_r.wall_times) == keys
         assert rep_r.newton_iterations > 0
         assert rep_r.wall_times["factorization"] > 0.0
+        assert all(rep_r.wall_times[k] > 0.0 for k in NEWTON_PHASES)
+        assert_phases_within_total(rep_f)
+        assert_phases_within_total(rep_r)
 
     def test_singular_factorization_is_reported(self, parts, monkeypatch):
         space, ops, blocks = parts
@@ -159,7 +283,8 @@ class TestSolve:
         assert report.newton_iterations == 0
         assert "singular" in report.message
         assert not np.any(uh) and not np.any(ph)
-        assert set(report.wall_times) == {"assembly", "factorization", "total"}
+        assert set(report.wall_times) == {"assembly", "total", *NEWTON_PHASES}
+        assert_phases_within_total(report)
 
     def test_zero_inflow_zero_state(self, parts):
         space, ops, blocks = parts
