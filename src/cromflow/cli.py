@@ -40,7 +40,7 @@ def _save_snapshots(out_dir: Path, snapshots):
         fom.save_solution(_snapshot_path(out_dir, name), snap.U, snap.P)
 
 
-def _load_snapshots(out_dir: Path, cfg, parts):
+def _load_snapshots(out_dir: Path, cfg):
     sets = {}
     for name in cfg.components:
         data = fom.load_solution(_snapshot_path(out_dir, name))
@@ -73,7 +73,7 @@ def cmd_train(args):
     parts = harness.build_component_set(cfg)
     snapshots = None
     if _snapshot_path(args.out_dir, cfg.components[0]).exists():
-        snapshots = _load_snapshots(args.out_dir, cfg, parts)
+        snapshots = _load_snapshots(args.out_dir, cfg)
     model = harness.train_model(cfg, parts=parts, snapshots=snapshots, with_eqp=False)
     _save_snapshots(args.out_dir, model.snapshots)
     for name in cfg.components:
@@ -84,19 +84,14 @@ def cmd_train(args):
 
 
 def cmd_train_eqp(args):
-    from .eqp import build_manifest, train_rule
-    from .reduction import load_basis, missing_energy
+    from .reduction import load_basis
 
     cfg = _load_config(args)
     parts = harness.build_component_set(cfg)
-    snapshots = _load_snapshots(args.out_dir, cfg, parts)
+    snapshots = _load_snapshots(args.out_dir, cfg)
     for name in cfg.components:
         basis = load_basis(args.out_dir / f"basis_{name}.bin")
-        eps = cfg.eqp_tol
-        if eps is None:
-            eps = missing_energy(basis.sigma_u, basis.R_u)
-        manifest = build_manifest(parts.operators[name], basis.phi_u, snapshots[name])
-        rule = train_rule(manifest, parts.operators[name], basis.phi_u, eps)
+        rule, eps = harness.train_eqp_rule(cfg, parts.operators[name], basis, snapshots[name])
         save_rule(rule, args.out_dir / f"eqp_{name}.bin")
         print(f"{name}: {rule.n_points} points, residual {rule.residual:.3e} (eps {eps:.3e})")
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import _binio
 from .weakforms import ComponentOperators
 
-RULE_MAGIC = b"CROMEQP1"
+RULE_MAGIC = b"CROMEQP2"
 
 
 class EqpError(RuntimeError):
@@ -61,9 +61,9 @@ class EqpRule:
     _layouts: tuple = field(repr=False, default=None, init=False, compare=False)
 
     def __post_init__(self):
-        if np.any(self.weights <= 0.0):
-            raise ValueError("EQP weights must be strictly positive")
-        if self.residual > self.eps * (1.0 + 1e-9) and self.eps > 0:
+        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+            raise ValueError("EQP weights must be finite and strictly positive")
+        if self.eps > 0 and not self.residual <= self.eps * (1.0 + 1e-9):
             raise ValueError(
                 f"stored residual {self.residual:.3e} violates threshold {self.eps:.3e}"
             )
@@ -277,36 +277,29 @@ def eqp_advection_jacobian(rule: EqpRule, u_hat: np.ndarray) -> np.ndarray:
     return jac[0] if np.ndim(u_hat) == 1 else jac
 
 
-def save_rule(rule: EqpRule, path) -> None:
-    import struct
+_RULE_ARRAYS = {
+    "component": ("i8", ("name",)),
+    "element_ids": ("i8", ("n",)),
+    "local_ids": ("i8", ("n",)),
+    "weights": ("f8", ("n",)),
+    "eps": ("f8", ()),
+    "residual": ("f8", ()),
+}
 
-    with open(path, "wb") as fh:
-        _binio.write_magic(fh, RULE_MAGIC)
-        _binio.write_str(fh, rule.component)
-        _binio.write_u64(fh, rule.n_points)
-        for e, l, w in zip(rule.element_ids, rule.local_ids, rule.weights):
-            fh.write(struct.pack("<IBd", int(e), int(l), float(w)))
-        fh.write(struct.pack("<dd", rule.eps, rule.residual))
+
+def save_rule(rule: EqpRule, path) -> None:
+    arrays = {name: getattr(rule, name) for name in _RULE_ARRAYS}
+    arrays["component"] = _binio.text_array(rule.component)
+    _binio.write_arrays(path, RULE_MAGIC, arrays)
 
 
 def load_rule(path) -> EqpRule:
-    import struct
-
-    with open(path, "rb") as fh:
-        _binio.check_magic(fh, RULE_MAGIC)
-        component = _binio.read_str(fh)
-        count = _binio.read_u64(fh)
-        elem = np.empty(count, dtype=np.int64)
-        loc = np.empty(count, dtype=np.int64)
-        wts = np.empty(count)
-        for i in range(count):
-            raw = fh.read(13)
-            if len(raw) != 13:
-                raise _binio.FormatError("truncated file")
-            e, l, w = struct.unpack("<IBd", raw)
-            elem[i], loc[i], wts[i] = e, l, w
-        tail = fh.read(16)
-        if len(tail) != 16:
-            raise _binio.FormatError("truncated file")
-        eps, residual = struct.unpack("<dd", tail)
-    return EqpRule(component, elem, loc, wts, eps, residual, n_basis=0)
+    a = _binio.read_arrays(path, RULE_MAGIC, _RULE_ARRAYS)
+    component = _binio.array_text(a["component"])
+    try:
+        return EqpRule(
+            component, a["element_ids"], a["local_ids"], a["weights"],
+            float(a["eps"]), float(a["residual"]), n_basis=0,
+        )
+    except ValueError as exc:
+        raise _binio.FormatError(f"{path}: {exc}") from exc

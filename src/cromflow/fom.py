@@ -485,22 +485,28 @@ def mms_convergence(
 
 # --- solution dump and VTK export ------------------------------------------
 
-SOLUTION_MAGIC = b"CROMSOL1"
+SOLUTION_MAGIC = b"CROMSOL2"
 
 
 def save_solution(path, u: np.ndarray, p: np.ndarray, extra: Optional[dict] = None):
     arrays = {"u": u, "p": p}
     if extra:
         arrays.update(extra)
-    _binio.write_named_arrays(path, SOLUTION_MAGIC, arrays)
+    _binio.write_arrays(path, SOLUTION_MAGIC, arrays)
 
 
 def load_solution(path) -> dict:
-    return _binio.read_named_arrays(path, SOLUTION_MAGIC)
+    """``u`` and ``p`` (one solution, or one snapshot per column) and any extras."""
+    fields = {"u": ("f8", None), "p": ("f8", None)}
+    data = _binio.read_arrays(path, SOLUTION_MAGIC, fields, extra=True)
+    u, p = data["u"], data["p"]
+    if u.ndim not in (1, 2) or u.shape[1:] != p.shape[1:]:
+        raise _binio.FormatError(f"{path}: velocity {u.shape} and pressure {p.shape} do not pair")
+    return data
 
 
 def export_vtk(path, system: GlobalFomSystem, u: np.ndarray, p: np.ndarray):
-    """Legacy VTK unstructured grid; velocity sampled at mesh vertices."""
+    """Legacy ASCII VTK grid of triangles; velocity sampled at mesh vertices."""
     pts, cells, vel, pres = [], [], [], []
     base = 0
     for m in range(system.grid.n_subdomains):

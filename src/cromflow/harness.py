@@ -328,23 +328,28 @@ def train_model(
         red = reduced[name]
         red.tensor = build_advection_tensor(parts.operators[name], bases[name].phi_u)
         if with_eqp:
-            eps = cfg.eqp_tol
-            if eps is None:
-                eps = missing_energy(bases[name].sigma_u, bases[name].R_u)
-            manifest = build_manifest(
-                parts.operators[name], bases[name].phi_u, snapshots[name]
-            )
-            red.eqp_rule = train_rule(manifest, parts.operators[name], bases[name].phi_u, eps)
-            eqp_tols[name] = eps
-            log.info(
-                "EQP %s: %d of %d points (eps %.2e, residual %.2e)",
-                name,
-                red.eqp_rule.n_points,
-                manifest.G.shape[1],
-                eps,
-                red.eqp_rule.residual,
+            red.eqp_rule, eqp_tols[name] = train_eqp_rule(
+                cfg, parts.operators[name], bases[name], snapshots[name]
             )
     return TrainedModel(cfg, parts, snapshots, bases, reduced, riface, eqp_tols)
+
+
+def train_eqp_rule(cfg: ExperimentConfig, ops, basis, snapshots):
+    """EQP rule of one component; returns (rule, threshold).
+
+    The threshold is ``cfg.eqp_tol``, or the missing-energy ratio of the
+    velocity basis when that is unset.
+    """
+    eps = cfg.eqp_tol
+    if eps is None:
+        eps = missing_energy(basis.sigma_u, basis.R_u)
+    manifest = build_manifest(ops, basis.phi_u, snapshots)
+    rule = train_rule(manifest, ops, basis.phi_u, eps)
+    log.info(
+        "EQP %s: %d of %d points (eps %.2e, residual %.2e)",
+        rule.component, rule.n_points, manifest.G.shape[1], eps, rule.residual,
+    )
+    return rule, eps
 
 
 # --- prediction studies -----------------------------------------------------
@@ -476,20 +481,14 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
     # the test set is fixed across Z so rows are comparable
     cases = _test_cases(cfg, np.random.default_rng(cfg.seed + 2), grid_size)
     for z in z_values:
-        bases = train_bases(cfg, model.parts, model.snapshots, z=z)
-        reduced, riface = project_linear(
-            model.parts.operators, model.parts.interface_blocks, bases
+        sub = train_model(
+            cfg, parts=model.parts, snapshots=model.snapshots, with_eqp=False, z=z
         )
-        for name in cfg.components:
-            reduced[name].tensor = build_advection_tensor(
-                model.parts.operators[name], bases[name].phi_u
-            )
-        sub = TrainedModel(cfg, model.parts, model.snapshots, bases, reduced, riface)
         for case, (_, sample, grid) in enumerate(cases):
             row = {"Z": z, "case": case, **sample.as_row()}
             row.update(_solve_case(sub, grid, (TENSORIAL,), cfg.timing_repeats))
             row["B_sigma_min_l2"] = assemble_global_rom(
-                grid, reduced, riface
+                grid, sub.reduced, sub.reduced_interfaces
             ).divergence_sigma_min()
             rows.append(row)
             log.info(

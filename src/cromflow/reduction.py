@@ -1,4 +1,4 @@
-"""Per-component basis construction and Galerkin projection.
+"""Per-component bases and their Galerkin projection.
 
 Velocity/pressure bases come from the thin SVD of snapshot matrices; the
 velocity basis is augmented with pressure supremizers so the reduced
@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from . import _binio
 from .weakforms import BoundaryLoadBuilder, ComponentOperators, InterfaceBlocks
 
-BASIS_MAGIC = b"CROMBAS2"
-TENSOR_MAGIC = b"CROMTEN1"
+BASIS_MAGIC = b"CROMBAS3"
+TENSOR_MAGIC = b"CROMTEN2"
 
 
 @dataclass
@@ -351,34 +351,38 @@ def tensor_jacobian(tensor: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
 # --- file formats -----------------------------------------------------------
 
 
+_BASIS_ARRAYS = {
+    "component": ("i8", ("name",)),
+    "phi_u": ("f8", ("n_u", "r_u")),
+    "phi_p": ("f8", ("n_p", "r_p")),
+    "sigma_u": ("f8", ("s_u",)),
+    "sigma_p": ("f8", ("s_p",)),
+    "Z": ("i8", ()),
+    "pressure_penalty": ("f8", ()),
+}
+
+
 def save_basis(basis: PodBasis, path) -> None:
-    with open(path, "wb") as fh:
-        _binio.write_magic(fh, BASIS_MAGIC)
-        _binio.write_str(fh, basis.component)
-        _binio.write_u64(fh, basis.n_u, basis.n_p, basis.R_u, basis.R_p, basis.Z)
-        _binio.write_f64(fh, np.asfortranarray(basis.phi_u).ravel(order="F"))
-        _binio.write_f64(fh, np.asfortranarray(basis.phi_p).ravel(order="F"))
-        _binio.write_u64(fh, basis.sigma_u.size)
-        _binio.write_f64(fh, basis.sigma_u)
-        _binio.write_u64(fh, basis.sigma_p.size)
-        _binio.write_f64(fh, basis.sigma_p)
-        _binio.write_f64(fh, np.array([basis.pressure_penalty]))
+    arrays = {name: getattr(basis, name) for name in _BASIS_ARRAYS}
+    arrays["component"] = _binio.text_array(basis.component)
+    _binio.write_arrays(path, BASIS_MAGIC, arrays)
 
 
 def load_basis(path) -> PodBasis:
-    with open(path, "rb") as fh:
-        _binio.check_magic(fh, BASIS_MAGIC)
-        component = _binio.read_str(fh)
-        n_u, n_p, R_u, R_p, Z = _binio.read_u64(fh, 5)
-        phi_u = _binio.read_f64(fh, n_u * (R_u + Z)).reshape((n_u, R_u + Z), order="F")
-        phi_p = _binio.read_f64(fh, n_p * R_p).reshape((n_p, R_p), order="F")
-        s_u = _binio.read_f64(fh, _binio.read_u64(fh))
-        s_p = _binio.read_f64(fh, _binio.read_u64(fh))
-        penalty = float(_binio.read_f64(fh, 1)[0])
+    a = _binio.read_arrays(path, BASIS_MAGIC, _BASIS_ARRAYS)
+    # column-major, as loaded bases were before the container, so operators
+    # projected from a stored basis round exactly as they did
+    phi_u, phi_p = np.asfortranarray(a["phi_u"]), np.asfortranarray(a["phi_p"])
+    Z = int(a["Z"])
+    if not 0 <= Z <= phi_u.shape[1]:
+        raise _binio.FormatError(f"{Z} supremizers in a basis of {phi_u.shape[1]} columns")
+    penalty = float(a["pressure_penalty"])
     if not (np.isfinite(penalty) and penalty >= 0.0):
         raise _binio.FormatError(f"invalid pressure penalty {penalty!r}")
     basis = PodBasis(
-        component, phi_u, phi_p, s_u, s_p, int(R_u), int(R_p), int(Z), penalty
+        _binio.array_text(a["component"]),
+        phi_u, phi_p, a["sigma_u"], a["sigma_p"],
+        phi_u.shape[1] - Z, phi_p.shape[1], Z, penalty,
     )
     _check_orthonormal(basis.phi_u, "velocity")
     _check_orthonormal(basis.phi_p, "pressure")
@@ -387,20 +391,15 @@ def load_basis(path) -> PodBasis:
 
 def _check_orthonormal(phi, label):
     if phi.shape[1]:
-        dev = np.abs(phi.T @ phi - np.eye(phi.shape[1])).max()
-        if dev > 1e-8:
+        with np.errstate(all="ignore"):     # corrupt entries may overflow
+            dev = np.abs(phi.T @ phi - np.eye(phi.shape[1])).max()
+        if not dev <= 1e-8:                 # NaN entries fail too
             raise _binio.FormatError(f"{label} basis not orthonormal (deviation {dev:.2e})")
 
 
 def save_tensor(tensor: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
-        _binio.write_magic(fh, TENSOR_MAGIC)
-        _binio.write_u64(fh, *tensor.shape)
-        _binio.write_f64(fh, tensor.ravel(order="C"))
+    _binio.write_arrays(path, TENSOR_MAGIC, {"tensor": tensor})
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        _binio.check_magic(fh, TENSOR_MAGIC)
-        dims = _binio.read_u64(fh, 3)
-        return _binio.read_f64(fh, int(np.prod(dims))).reshape(dims, order="C")
+    return _binio.read_arrays(path, TENSOR_MAGIC, {"tensor": ("f8", ("r", "r", "r"))})["tensor"]

@@ -31,7 +31,7 @@ from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton
 from .geometry import GridConfig
 from .reduction import ReducedComponentOperators, tensor_contract, tensor_jacobian
 
-ROM_SOLUTION_MAGIC = b"CROMRSOL1"
+ROM_SOLUTION_MAGIC = b"CROMRSOL2"
 
 TENSORIAL = "tensorial"
 EQP = "eqp"
@@ -90,7 +90,7 @@ class GlobalRomSystem(BlockSystem):
 
 @dataclass
 class LiftedSolution:
-    """Full-order fields reconstructed subdomain-wise from reduced coordinates."""
+    """Full-order fields lifted subdomain-wise from reduced coordinates."""
 
     u: np.ndarray
     p: np.ndarray
@@ -163,7 +163,7 @@ def solve_rom_newton(
 
 
 def lift(system: GlobalRomSystem, u_hat: np.ndarray, p_hat: np.ndarray) -> LiftedSolution:
-    """Reconstruct full-order fields, laid out like the matching FOM system."""
+    """Lift to full-order fields, laid out like the matching FOM system."""
     u = np.zeros(system.fom_off_u[-1])
     p = np.zeros(system.fom_off_p[-1])
     for m in range(system.grid.n_subdomains):
@@ -218,8 +218,11 @@ def save_rom_solution(path, u_hat: np.ndarray, p_hat: np.ndarray, extra: Optiona
     arrays = {"u_hat": u_hat, "p_hat": p_hat}
     if extra:
         arrays.update(extra)
-    _binio.write_named_arrays(path, ROM_SOLUTION_MAGIC, arrays)
+    _binio.write_arrays(path, ROM_SOLUTION_MAGIC, arrays)
 
 
 def load_rom_solution(path) -> dict:
-    return _binio.read_named_arrays(path, ROM_SOLUTION_MAGIC)
+    return _binio.read_arrays(
+        path, ROM_SOLUTION_MAGIC,
+        {"u_hat": ("f8", ("r_u",)), "p_hat": ("f8", ("r_p",))}, extra=True,
+    )

@@ -307,28 +307,6 @@ def build_load_builder(space: TaylorHoodSpace, tag: str, nu: float, gamma: float
     )
 
 
-def assemble_rhs(ops: ComponentOperators, bc: dict, forcing=None, origin=np.zeros(2)):
-    """Right-hand side vectors (L, L_u, L_p) for one component.
-
-    ``bc`` maps a subset of sides to ("dirichlet", g) or ("neumann", g/None);
-    obstacle walls are homogeneous Dirichlet and contribute nothing here.
-    """
-    n_u, n_p = ops.space.n_u, ops.space.n_p
-    L = np.zeros(n_u) if forcing is None else ops.forcing_load(forcing, origin)
-    L_u, L_p = np.zeros(n_u), np.zeros(n_p)
-    for side, (kind, g) in bc.items():
-        if kind == "dirichlet":
-            lu, lp = ops.loads[side].dirichlet_loads(g, origin)
-            L_u += lu
-            L_p += lp
-        elif kind == "neumann":
-            if g is not None:
-                L_u += ops.loads[side].neumann_load(g, origin)
-        else:
-            raise ValueError(f"unknown bc kind {kind!r}")
-    return L, L_u, L_p
-
-
 def build_component_operators(space: TaylorHoodSpace, nu: float, gamma=None) -> ComponentOperators:
     if gamma is None:
         gamma = penalty_strength(nu)
@@ -447,24 +425,3 @@ def assemble_interface_blocks(
             rb, cb, vb = acc_b[(s, t)]
             Bd[s + t] = _coo(rb, cb, vb, (spaces[s].n_p, spaces[t].n_u))
     return InterfaceBlocks(K=K, B=Bd)
-
-
-# --- operator cache file (CROMOP1) ----------------------------------------
-
-
-def save_operator_cache(ops: ComponentOperators, path) -> None:
-    """Cache the sparse matrix blocks of one component (coordinate format)."""
-    from . import _binio
-
-    mats = {"K": ops.K, "B": ops.B}
-    for tag, m in ops.K_di.items():
-        mats[f"K_di:{tag}"] = m
-    for tag, m in ops.B_di.items():
-        mats[f"B_di:{tag}"] = m
-    _binio.write_sparse_dict(path, b"CROMOP1\x00", mats)
-
-
-def load_operator_cache(path) -> dict:
-    from . import _binio
-
-    return _binio.read_sparse_dict(path, b"CROMOP1\x00")

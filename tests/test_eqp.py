@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cromflow._binio import FormatError
+from cromflow._binio import FormatError, read_arrays, write_arrays
 from cromflow.eqp import (
+    RULE_MAGIC,
     EqpError,
     EqpRule,
     attach_basis_data,
@@ -20,6 +21,13 @@ from cromflow.reduction import SnapshotSet, build_advection_tensor, tensor_contr
 from cromflow.weakforms import build_component_operators
 
 NU = 0.04
+
+
+def rewrite_arrays(path, magic, **arrays):
+    """Replace arrays of a saved artifact; the container stays well formed."""
+    data = read_arrays(path, magic, {}, extra=True)
+    data.update(arrays)
+    write_arrays(path, magic, data)
 
 
 def oracle_value(rule, uh):
@@ -284,34 +292,26 @@ class TestRuleFile:
         rule = train_rule(manifest, ops, phi, eps=1e-3)
         path = tmp_path / "rule.bin"
         save_rule(rule, path)
-        raw = bytearray(path.read_bytes())
-        # weight of the first point sits after magic+name+count+elem+local
-        import struct
-
-        off = len(b"CROMEQP1") + 2 + len(rule.component.encode()) + 8 + 5
-        struct.pack_into("<d", raw, off, -1.0)
-        path.write_bytes(raw)
+        weights = rule.weights.copy()
+        weights[0] = -1.0
+        rewrite_arrays(path, RULE_MAGIC, weights=weights)
         with pytest.raises(ValueError, match="positive"):
             load_rule(path)
 
     @pytest.mark.parametrize(
-        "field,offset,fmt,value",
-        [("local", 4, "<B", 7), ("element", 0, "<I", 10**6)],
+        "field,name,value",
+        [("local", "local_ids", 7), ("element", "element_ids", 10**6)],
     )
     def test_point_outside_the_mesh_rejected_on_attach(
-        self, setup, tmp_path, field, offset, fmt, value
+        self, setup, tmp_path, field, name, value
     ):
         space, ops, snaps, phi, manifest = setup
         rule = train_rule(manifest, ops, phi, eps=1e-3)
         path = tmp_path / "rule.bin"
         save_rule(rule, path)
-        raw = bytearray(path.read_bytes())
-        import struct
-
-        # the first point's (u32 element, u8 local index) follows magic+name+count
-        first = len(b"CROMEQP1") + 2 + len(rule.component.encode()) + 8
-        struct.pack_into(fmt, raw, first + offset, value)
-        path.write_bytes(raw)
+        ids = getattr(rule, name).copy()
+        ids[0] = value
+        rewrite_arrays(path, RULE_MAGIC, **{name: ids})
         loaded = load_rule(path)
         with pytest.raises(FormatError, match=field):
             attach_basis_data(loaded, ops, phi)

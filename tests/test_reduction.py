@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cromflow._binio import read_arrays, write_arrays
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.geometry import ComponentMesh, generate_empty_mesh
 from cromflow.reduction import (
+    BASIS_MAGIC,
     PodBasis,
     SnapshotSet,
     balanced_pressure_penalty,
@@ -26,6 +28,13 @@ from cromflow.reduction import (
 from cromflow.weakforms import assemble_interface_blocks, build_component_operators
 
 NU = 0.04
+
+
+def rewrite_arrays(path, magic, **arrays):
+    """Replace arrays of a saved artifact; the container stays well formed."""
+    data = read_arrays(path, magic, {}, extra=True)
+    data.update(arrays)
+    write_arrays(path, magic, data)
 
 
 @pytest.fixture(scope="module")
@@ -417,12 +426,12 @@ class TestFiles:
         basis = build_pod_basis(snaps, ops, 4, 2)
         path = tmp_path / "basis.bin"
         save_basis(basis, path)
-        raw = bytearray(path.read_bytes())
-        raw[60] ^= 0xFF                       # flip bits inside phi_u
-        path.write_bytes(raw)
+        phi_u = basis.phi_u.copy()
+        phi_u[3, 1] += 0.5                    # no longer orthonormal
+        rewrite_arrays(path, BASIS_MAGIC, phi_u=phi_u)
         from cromflow._binio import FormatError
 
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="orthonormal"):
             load_basis(path)
 
     def test_negative_penalty_rejected(self, ops, space, tmp_path):
@@ -433,9 +442,7 @@ class TestFiles:
         basis = build_pod_basis(snaps, ops, 4, 2)
         path = tmp_path / "basis.bin"
         save_basis(basis, path)
-        raw = bytearray(path.read_bytes())
-        raw[-8:] = np.array([-1.0], dtype="<f8").tobytes()   # the trailing penalty
-        path.write_bytes(raw)
+        rewrite_arrays(path, BASIS_MAGIC, pressure_penalty=-1.0)
         from cromflow._binio import FormatError
 
         with pytest.raises(FormatError, match="penalty"):

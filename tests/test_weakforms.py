@@ -8,12 +8,9 @@ from cromflow.weakforms import (
     assemble_dirichlet_blocks,
     assemble_interface_blocks,
     assemble_pressure_stiffness,
-    assemble_rhs,
     assemble_viscous,
     build_component_operators,
-    load_operator_cache,
     penalty_strength,
-    save_operator_cache,
 )
 
 NU = 0.04
@@ -215,39 +212,32 @@ class TestDirichletBlocks:
 class TestRhs:
     def test_zero_data_zero_rhs(self, ops):
         zero = lambda xy: np.zeros_like(xy)
-        L, L_u, L_p = assemble_rhs(ops, {s: ("dirichlet", zero) for s in "LRBT"})
+        L = ops.forcing_load(zero)
+        loads = [ops.loads[s].dirichlet_loads(zero) for s in "LRBT"]
+        L_u = sum(lu for lu, _ in loads)
+        L_p = sum(lp for _, lp in loads)
         assert np.abs(L).max() == 0.0
         assert np.abs(L_u).max() < 1e-15
         assert np.abs(L_p).max() < 1e-15
 
     def test_pressure_load_left_inflow(self, ops, space):
         g = lambda xy: np.stack([np.ones(len(xy)), np.zeros(len(xy))], axis=-1)
-        _, _, L_p = assemble_rhs(ops, {"L": ("dirichlet", g)})
+        _, L_p = ops.loads["L"].dirichlet_loads(g)
         ones_p = np.ones(space.n_p)
         # n = (-1, 0) on the left: integral of p n.g = -1 * side length
         assert abs(ones_p @ L_p + 1.0) < 1e-13
 
     def test_forcing_load_partition(self, ops, space):
         f = lambda xy: np.stack([np.ones(len(xy)), np.zeros(len(xy))], axis=-1)
-        L, _, _ = assemble_rhs(ops, {}, forcing=f)
+        L = ops.forcing_load(f)
         # sum over x-loads = area of the component
         assert abs(L[: space.n_scalar].sum() - 1.0) < 1e-13
         assert np.abs(L[space.n_scalar :]).max() < 1e-15
 
     def test_neumann_data_load(self, ops, space):
         g = lambda xy: np.stack([np.ones(len(xy)), np.zeros(len(xy))], axis=-1)
-        _, L_u, _ = assemble_rhs(ops, {"R": ("neumann", g)})
+        L_u = ops.loads["R"].neumann_load(g)
         assert abs(L_u[: space.n_scalar].sum() - 1.0) < 1e-13
-
-
-class TestOperatorCache:
-    def test_round_trip(self, ops, tmp_path):
-        path = tmp_path / "ops.bin"
-        save_operator_cache(ops, path)
-        loaded = load_operator_cache(path)
-        assert np.abs(loaded["K"] - ops.K).max() < 1e-15
-        assert np.abs(loaded["B"] - ops.B).max() < 1e-15
-        assert np.abs(loaded["K_di:L"] - ops.K_di["L"]).max() < 1e-15
 
 
 class TestConsistency:
