@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .geometry import (
     ComponentMesh,
     GridConfig,
-    InterfaceList,
     MeshError,
     SideBC,
-    build_interfaces,
     generate_empty_mesh,
     generate_obstacle_mesh,
     load_mesh,

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fom, geometry, harness, reduction, rom
+from ._binio import FormatError
 from .eqp import save_rule
-from .reduction import save_basis, save_tensor
+from .reduction import load_basis, save_basis, save_tensor
 
 
 def _add_common(parser):
@@ -46,6 +47,22 @@ def _load_snapshots(out_dir: Path, cfg):
         data = fom.load_solution(_snapshot_path(out_dir, name))
         sets[name] = reduction.SnapshotSet(name, data["u"], data["p"])
     return sets
+
+
+def _load_bases(out_dir: Path, cfg, parts) -> dict:
+    """Basis file of each component, its row counts checked against the component's space."""
+    bases = {}
+    for name in cfg.components:
+        path = out_dir / f"basis_{name}.bin"
+        basis = load_basis(path)
+        space = parts.spaces[name]
+        if (basis.n_u, basis.n_p) != (space.n_u, space.n_p):
+            raise FormatError(
+                f"{path}: component {name!r} expects {space.n_u} velocity and "
+                f"{space.n_p} pressure rows, found {basis.n_u} and {basis.n_p}"
+            )
+        bases[name] = basis
+    return bases
 
 
 def cmd_mesh_gen(args):
@@ -84,14 +101,13 @@ def cmd_train(args):
 
 
 def cmd_train_eqp(args):
-    from .reduction import load_basis
-
     cfg = _load_config(args)
     parts = harness.build_component_set(cfg)
+    bases = _load_bases(args.out_dir, cfg, parts)
     snapshots = _load_snapshots(args.out_dir, cfg)
     for name in cfg.components:
-        basis = load_basis(args.out_dir / f"basis_{name}.bin")
-        rule, eps = harness.train_eqp_rule(cfg, parts.operators[name], basis, snapshots[name])
+        ops = parts.operators[name]
+        rule, eps = harness.train_eqp_rule(cfg, ops, bases[name], snapshots[name])
         save_rule(rule, args.out_dir / f"eqp_{name}.bin")
         print(f"{name}: {rule.n_points} points, residual {rule.residual:.3e} (eps {eps:.3e})")
 
@@ -130,14 +146,11 @@ def cmd_predict_fom(args):
 
 def cmd_predict_rom(args):
     from .eqp import attach_basis_data, load_rule
-    from .reduction import load_basis
 
     cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     parts = harness.build_component_set(cfg)
-    bases = {
-        name: load_basis(args.out_dir / f"basis_{name}.bin") for name in cfg.components
-    }
+    bases = _load_bases(args.out_dir, cfg, parts)
     reduced, riface = reduction.project_linear(
         parts.operators, parts.interface_blocks, bases
     )

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from . import _binio
 from .geometry import GridConfig, SIDES, interface_topology
-from .weakforms import ComponentOperators
+from .weakforms import ComponentOperators, Triplets
 
 # global sides touching a subdomain, by grid position
 _SIDE_OF_CELL = {
@@ -120,39 +120,6 @@ class BlockSystem:
         return sp.bmat([[A_uu, self.B.T], [self.B, -self.C]], format="csc")
 
 
-class _Triplets:
-    """Coordinate entries of one global matrix, gathered block by block.
-
-    Sparse blocks contribute their stored entries; dense blocks contribute
-    every entry, so the global pattern does not depend on the values.
-    """
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, mat, row_off, col_off):
-        if sp.issparse(mat):
-            coo = mat.tocoo()
-            rows, cols, vals = coo.row, coo.col, coo.data
-        else:
-            nr, nc = mat.shape
-            rows, cols = np.repeat(np.arange(nr), nc), np.tile(np.arange(nc), nr)
-            vals = np.asarray(mat).ravel()
-        self.rows.append(rows + row_off)
-        self.cols.append(cols + col_off)
-        self.vals.append(vals)
-
-    def tocsr(self) -> sp.csr_matrix:
-        return sp.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=self.shape,
-        ).tocsr()
-
-
 def _offsets(sizes) -> np.ndarray:
     off = np.zeros(len(sizes) + 1, dtype=int)
     off[1:] = np.cumsum(sizes)
@@ -177,9 +144,9 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     off_p = _offsets([ops.B.shape[0] for ops in parts])
     n_u, n_p = int(off_u[-1]), int(off_p[-1])
 
-    K = _Triplets((n_u, n_u))
-    B = _Triplets((n_p, n_u))
-    C = _Triplets((n_p, n_p))
+    K = Triplets((n_u, n_u))
+    B = Triplets((n_p, n_u))
+    C = Triplets((n_p, n_p))
     rhs_u = np.zeros(n_u)
     rhs_p = np.zeros(n_p)
     any_neumann = any(grid.bc[s].kind == "neumann" for s in SIDES)
@@ -331,43 +298,6 @@ class GlobalFomSystem(BlockSystem):
         return sp.block_diag(blocks, format="csr")
 
 
-def _check_dirichlet_compatibility(grid: GridConfig, operators, tol=1e-9):
-    """Fully Dirichlet data must carry zero net flux through the boundary."""
-    total = 0.0
-    scale = 0.0
-    for m in range(grid.n_subdomains):
-        ops = operators[grid.component_name(m)]
-        origin = grid.cell_origin(m)
-        col, row = m % grid.cols, m // grid.cols
-        for side in SIDES:
-            if not _SIDE_OF_CELL[side](col, row, grid):
-                continue
-            bc = grid.bc[side]
-            if bc.kind != "dirichlet":
-                continue
-            builder = ops.loads[side]
-            gv = builder.eval_data(bc.velocity, origin).reshape(-1, 2)
-            normal = {"L": (-1, 0), "R": (1, 0), "B": (0, -1), "T": (0, 1)}[side]
-            w = _builder_weights(ops.space, side)
-            flux = float(np.sum(w * (gv @ np.asarray(normal, dtype=float))))
-            total += flux
-            scale += float(np.sum(w * np.linalg.norm(gv, axis=1)))
-    if abs(total) > tol * max(scale, 1.0):
-        raise ValueError(
-            f"incompatible Dirichlet data: net boundary flux {total:.3e} != 0"
-        )
-
-
-def _builder_weights(space, side):
-    from .femspace import LINE_QW
-
-    lengths = []
-    for bedge in space.mesh.side_trace[side]:
-        i, j = space.mesh.boundary_edges[bedge]
-        lengths.append(np.linalg.norm(space.mesh.vertices[j] - space.mesh.vertices[i]))
-    return np.concatenate([LINE_QW * L for L in lengths])
-
-
 def assemble_global(
     grid: GridConfig,
     operators: Mapping,
@@ -377,14 +307,17 @@ def assemble_global(
 
     ``interface_blocks`` maps (ref_m, ref_n, orientation) to
     :class:`InterfaceBlocks`; a missing needed configuration is an error,
-    and so is fully Dirichlet data with a net boundary flux.
+    and so is fully Dirichlet data with a net boundary flux.  The P1
+    pressure basis sums to one, so the pressure load sums to that flux.
     """
     t0 = time.perf_counter()
     system = assemble_blocks(
         GlobalFomSystem, grid, operators, interface_blocks, operators=operators
     )
     if system.pressure_constraint:
-        _check_dirichlet_compatibility(grid, operators)
+        flux = float(system.rhs_p.sum())
+        if abs(flux) > 1e-9 * max(float(np.abs(system.rhs_p).sum()), 1.0):
+            raise ValueError(f"incompatible Dirichlet data: net boundary flux {flux:.3e} != 0")
     system.assembly_time = time.perf_counter() - t0
     return system
 

@@ -20,13 +20,6 @@ TAGS = SIDES + (OBSTACLE_TAG,)
 _SIDE_AXIS = {"L": 1, "R": 1, "B": 0, "T": 0}
 _SIDE_LEVEL = {"L": 0.0, "R": 1.0, "B": 0.0, "T": 1.0}
 
-SIDE_NORMALS = {
-    "L": np.array([-1.0, 0.0]),
-    "R": np.array([1.0, 0.0]),
-    "B": np.array([0.0, -1.0]),
-    "T": np.array([0.0, 1.0]),
-}
-
 GEOM_TOL = 1e-12
 
 
@@ -366,22 +359,6 @@ class GridConfig:
                     raise KeyError(f"component {name!r} not in registry")
 
 
-@dataclass
-class InterfaceEntry:
-    m: int
-    n: int
-    orientation: str              # "H": m left of n, "V": m below n
-    face_pairs: list              # [(boundary edge index in m, in n), ...]
-
-
-@dataclass
-class InterfaceList:
-    entries: list
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def match_side_faces(mesh_m: ComponentMesh, mesh_n: ComponentMesh, orientation: str) -> list:
     """Pair the facing boundary edges of two adjacent components.
 
@@ -419,21 +396,3 @@ def interface_topology(grid: GridConfig) -> list:
         for row in range(grid.rows - 1)
         for col in range(grid.cols)
     ]
-
-
-def build_interfaces(grid: GridConfig, registry: Mapping) -> InterfaceList:
-    """Enumerate all subdomain interfaces of a grid with matched face pairs."""
-    grid.validate_components(registry)
-    return InterfaceList(
-        [
-            InterfaceEntry(
-                m,
-                n,
-                o,
-                match_side_faces(
-                    registry[grid.component_name(m)], registry[grid.component_name(n)], o
-                ),
-            )
-            for m, n, o in interface_topology(grid)
-        ]
-    )

@@ -160,14 +160,6 @@ class PodBasis:
     def n_p(self) -> int:
         return self.phi_p.shape[0]
 
-    @property
-    def r_u_total(self) -> int:
-        return self.phi_u.shape[1]
-
-    @property
-    def supremizer_enriched(self) -> bool:
-        return self.Z > 0
-
 
 def build_pod_basis(
     snapshots: SnapshotSet,

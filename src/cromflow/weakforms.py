@@ -31,40 +31,82 @@ def penalty_strength(nu: float, degree: int = 2) -> float:
     return nu * (degree + 1) ** 2
 
 
-def _coo(rows, cols, vals, shape):
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    ).tocsr()
+class Triplets:
+    """Coordinate entries of one sparse matrix, gathered block by block.
+
+    :meth:`tocsr` sums duplicate entries; the order in which blocks are
+    added fixes the order of those sums.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, mat, row_off, col_off):
+        """One whole matrix at an offset.
+
+        Sparse blocks contribute their stored entries; dense blocks
+        contribute every entry, so the pattern does not depend on the values.
+        """
+        if sp.issparse(mat):
+            coo = mat.tocoo()
+            rows, cols, vals = coo.row, coo.col, coo.data
+        else:
+            nr, nc = mat.shape
+            rows, cols = np.repeat(np.arange(nr), nc), np.tile(np.arange(nc), nr)
+            vals = np.asarray(mat).ravel()
+        self.rows.append(rows + row_off)
+        self.cols.append(cols + col_off)
+        self.vals.append(vals)
+
+    def add_elements(self, rows, cols, vals, offsets=((0, 0),)):
+        """Element blocks: ``vals[..., a, b]`` at ``(rows[..., a], cols[..., b])``.
+
+        The blocks are placed once per (row, column) offset, e.g.
+        ``((0, 0), (ns, ns))`` for both velocity components.  ``vals`` is one
+        array for every offset or a list with one array per offset.
+        """
+        per_offset = vals if isinstance(vals, list) else [vals] * len(offsets)
+        shape = per_offset[0].shape
+        r = np.broadcast_to(rows[..., :, None], shape).ravel()
+        c = np.broadcast_to(cols[..., None, :], shape).ravel()
+        for (row_off, col_off), v in zip(offsets, per_offset):
+            self.rows.append(r + row_off)
+            self.cols.append(c + col_off)
+            self.vals.append(v.ravel())
+
+    def tocsr(self) -> sp.csr_matrix:
+        if not self.vals:
+            return sp.csr_matrix(self.shape)
+        return sp.coo_matrix(
+            (
+                np.concatenate(self.vals),
+                (np.concatenate(self.rows), np.concatenate(self.cols)),
+            ),
+            shape=self.shape,
+        ).tocsr()
 
 
 def assemble_viscous(space: TaylorHoodSpace, nu: float) -> sp.csr_matrix:
     """Domain viscous matrix: nu * (grad u_test, grad u) on the component."""
     ke = nu * np.einsum("tq,tqac,tqbc->tab", space.qw, space.p2g_q, space.p2g_q)
-    nd = space.tri_nodes
-    rows = np.broadcast_to(nd[:, :, None], ke.shape)
-    cols = np.broadcast_to(nd[:, None, :], ke.shape)
     ns = space.n_scalar
-    return _coo(
-        [rows.ravel(), rows.ravel() + ns],
-        [cols.ravel(), cols.ravel() + ns],
-        [ke.ravel(), ke.ravel()],
-        (space.n_u, space.n_u),
-    )
+    K = Triplets((space.n_u, space.n_u))
+    K.add_elements(space.tri_nodes, space.tri_nodes, ke, ((0, 0), (ns, ns)))
+    return K.tocsr()
 
 
 def assemble_divergence(space: TaylorHoodSpace) -> sp.csr_matrix:
     """Domain divergence matrix: -(p_test, div u) on the component."""
     be = -np.einsum("tq,qi,tqbc->tibc", space.qw, space.p1v_q, space.p2g_q)
-    verts = space.mesh.triangles
-    ns = space.n_scalar
-    rows = np.broadcast_to(verts[:, :, None], be.shape[:3])
-    cols = np.broadcast_to(space.tri_nodes[:, None, :], be.shape[:3])
-    return _coo(
-        [rows.ravel(), rows.ravel()],
-        [cols.ravel(), cols.ravel() + ns],
-        [be[..., 0].ravel(), be[..., 1].ravel()],
-        (space.n_p, space.n_u),
+    B = Triplets((space.n_p, space.n_u))
+    B.add_elements(
+        space.mesh.triangles,
+        space.tri_nodes,
+        [be[..., 0], be[..., 1]],
+        ((0, 0), (0, space.n_scalar)),
     )
+    return B.tocsr()
 
 
 def assemble_pressure_mean(space: TaylorHoodSpace) -> np.ndarray:
@@ -79,10 +121,9 @@ def assemble_pressure_stiffness(space: TaylorHoodSpace) -> sp.csr_matrix:
     """Pressure Laplacian (grad p_test, grad p); P1 gradients are constant per triangle."""
     grads = np.einsum("id,tdc->tic", P1_GRAD, space.inv_jac)
     ke = np.einsum("t,tic,tjc->tij", space.qw.sum(axis=1), grads, grads)
-    verts = space.mesh.triangles
-    rows = np.broadcast_to(verts[:, :, None], ke.shape)
-    cols = np.broadcast_to(verts[:, None, :], ke.shape)
-    return _coo([rows.ravel()], [cols.ravel()], [ke.ravel()], (space.n_p, space.n_p))
+    A = Triplets((space.n_p, space.n_p))
+    A.add_elements(space.mesh.triangles, space.mesh.triangles, ke)
+    return A.tocsr()
 
 
 class AdvectionKernel:
@@ -214,7 +255,7 @@ class ComponentOperators:
         return out
 
 
-def _dirichlet_face_terms(space, fd, nu, gamma):
+def _dirichlet_face_terms(fd, nu, gamma):
     """Single-sided Nitsche matrices and load maps for one boundary face."""
     ndg = nu * np.einsum("c,qac->qa", fd.normal, fd.p2g)     # nu n . grad phi
     pen = gamma / fd.length
@@ -239,72 +280,33 @@ def _side_faces(mesh: ComponentMesh, tag: str):
 
 
 def assemble_dirichlet_blocks(space: TaylorHoodSpace, tag: str, nu: float, gamma: float):
-    """Nitsche velocity/divergence blocks for one tagged boundary (side or O)."""
+    """Nitsche blocks and boundary load maps of one tagged boundary (side or O).
+
+    Returns ``(K_di, B_di, BoundaryLoadBuilder)``; each face's terms are
+    computed once.
+    """
     ns, n_u, n_p = space.n_scalar, space.n_u, space.n_p
-    kr, kc, kv = [], [], []
-    br, bc, bv = [], [], []
-    for bedge in _side_faces(space.mesh, tag):
-        fd = space.face_data(bedge)
-        a, b, _, _, _ = _dirichlet_face_terms(space, fd, nu, gamma)
-        nd = space.tri_nodes[fd.tri]
-        rows = np.broadcast_to(nd[:, None], a.shape)
-        cols = np.broadcast_to(nd[None, :], a.shape)
-        for off in (0, ns):
-            kr.append(rows.ravel() + off)
-            kc.append(cols.ravel() + off)
-            kv.append(a.ravel())
-        verts = space.mesh.triangles[fd.tri]
-        prows = np.broadcast_to(verts[:, None], b.shape[:2])
-        pcols = np.broadcast_to(nd[None, :], b.shape[:2])
-        for c, off in enumerate((0, ns)):
-            br.append(prows.ravel())
-            bc.append(pcols.ravel() + off)
-            bv.append(b[:, :, c].ravel())
-    if not kr:
-        return sp.csr_matrix((n_u, n_u)), sp.csr_matrix((n_p, n_u))
-    return _coo(kr, kc, kv, (n_u, n_u)), _coo(br, bc, bv, (n_p, n_u))
-
-
-def build_load_builder(space: TaylorHoodSpace, tag: str, nu: float, gamma: float) -> BoundaryLoadBuilder:
     faces = _side_faces(space.mesh, tag)
     nq = LINE_QP.size
     n_cols = 2 * nq * len(faces)
     xy = np.zeros((nq * len(faces), 2))
-    ur, uc, uv = [], [], []
-    nr, nc, nv = [], [], []
-    pr, pc, pv = [], [], []
-    ns = space.n_scalar
+    K, B = Triplets((n_u, n_u)), Triplets((n_p, n_u))
+    load_u, load_n = Triplets((n_u, n_cols)), Triplets((n_u, n_cols))
+    load_p = Triplets((n_p, n_cols))
     for f, bedge in enumerate(faces):
         fd = space.face_data(bedge)
-        _, _, lu, lne, lp = _dirichlet_face_terms(space, fd, nu, gamma)
+        a, b, lu, lne, lp = _dirichlet_face_terms(fd, nu, gamma)
         xy[f * nq : (f + 1) * nq] = fd.xy
         nd = space.tri_nodes[fd.tri]
         verts = space.mesh.triangles[fd.tri]
-        pts = f * nq + np.arange(nq)
-        for c, off in enumerate((0, ns)):
-            cols = np.broadcast_to((2 * pts + c)[None, :], (6, nq))
-            rows = np.broadcast_to(nd[:, None], (6, nq))
-            ur.append(rows.ravel() + off)
-            uc.append(cols.ravel())
-            uv.append(lu.T.ravel())
-            nr.append(rows.ravel() + off)
-            nc.append(cols.ravel())
-            nv.append(lne.T.ravel())
-            pr.append(np.broadcast_to(verts[:, None], (3, nq)).ravel())
-            pc.append(np.broadcast_to((2 * pts + c)[None, :], (3, nq)).ravel())
-            pv.append(lp[:, c, :].T.ravel())
-    shape_u = (space.n_u, n_cols)
-    shape_p = (space.n_p, n_cols)
-    if not faces:
-        return BoundaryLoadBuilder(
-            xy, sp.csr_matrix(shape_u), sp.csr_matrix(shape_p), sp.csr_matrix(shape_u)
-        )
-    return BoundaryLoadBuilder(
-        xy,
-        _coo(ur, uc, uv, shape_u),
-        _coo(pr, pc, pv, shape_p),
-        _coo(nr, nc, nv, shape_u),
-    )
+        cols = 2 * (f * nq + np.arange(nq))             # data column (point, x-component)
+        K.add_elements(nd, nd, a, ((0, 0), (ns, ns)))
+        B.add_elements(verts, nd, [b[:, :, 0], b[:, :, 1]], ((0, 0), (0, ns)))
+        load_u.add_elements(nd, cols, lu.T, ((0, 0), (ns, 1)))
+        load_n.add_elements(nd, cols, lne.T, ((0, 0), (ns, 1)))
+        load_p.add_elements(verts, cols, [lp[:, 0, :].T, lp[:, 1, :].T], ((0, 0), (0, 1)))
+    loads = BoundaryLoadBuilder(xy, load_u.tocsr(), load_p.tocsr(), load_n.tocsr())
+    return K.tocsr(), B.tocsr(), loads
 
 
 def build_component_operators(space: TaylorHoodSpace, nu: float, gamma=None) -> ComponentOperators:
@@ -315,8 +317,7 @@ def build_component_operators(space: TaylorHoodSpace, nu: float, gamma=None) -> 
         tags.append(OBSTACLE_TAG)
     K_di, B_di, loads = {}, {}, {}
     for tag in tags:
-        K_di[tag], B_di[tag] = assemble_dirichlet_blocks(space, tag, nu, gamma)
-        loads[tag] = build_load_builder(space, tag, nu, gamma)
+        K_di[tag], B_di[tag], loads[tag] = assemble_dirichlet_blocks(space, tag, nu, gamma)
     return ComponentOperators(
         space=space,
         nu=nu,
@@ -361,10 +362,9 @@ def assemble_interface_blocks(
 
     spaces = {"m": space_m, "n": space_n}
     sign = {"m": 1.0, "n": -1.0}
-    acc = {
-        (s, t): ([], [], []) for s in ("m", "n") for t in ("m", "n")
-    }
-    acc_b = {(s, t): ([], [], []) for s in ("m", "n") for t in ("m", "n")}
+    sides = [(s, t) for s in ("m", "n") for t in ("m", "n")]
+    K = {(s, t): Triplets((spaces[s].n_u, spaces[t].n_u)) for s, t in sides}
+    B = {(s, t): Triplets((spaces[s].n_p, spaces[t].n_u)) for s, t in sides}
 
     for bm, bn in pairs:
         em = space_m.mesh.boundary_edges[bm]
@@ -387,41 +387,24 @@ def assemble_interface_blocks(
         ndg = {
             s: nu * np.einsum("c,qac->qa", normal, fd[s].p2g) for s in ("m", "n")
         }
-        for s in ("m", "n"):
-            for t in ("m", "n"):
-                a = (
-                    -0.5 * sign[t] * np.einsum("q,qa,qb->ab", w, ndg[s], fd[t].p2v)
-                    - 0.5 * sign[s] * np.einsum("q,qa,qb->ab", w, fd[s].p2v, ndg[t])
-                    + (gamma / dx) * sign[s] * sign[t]
-                    * np.einsum("q,qa,qb->ab", w, fd[s].p2v, fd[t].p2v)
-                )
-                b = 0.5 * sign[t] * np.einsum(
-                    "q,qi,qb,c->ibc", w, fd[s].p1v, fd[t].p2v, normal
-                )
-                nd_s = spaces[s].tri_nodes[fd[s].tri]
-                nd_t = spaces[t].tri_nodes[fd[t].tri]
-                rows = np.broadcast_to(nd_s[:, None], a.shape)
-                cols = np.broadcast_to(nd_t[None, :], a.shape)
-                r, c, v = acc[(s, t)]
-                for off_s, off_t in ((0, 0), (spaces[s].n_scalar, spaces[t].n_scalar)):
-                    r.append(rows.ravel() + off_s)
-                    c.append(cols.ravel() + off_t)
-                    v.append(a.ravel())
-                verts_s = spaces[s].mesh.triangles[fd[s].tri]
-                prows = np.broadcast_to(verts_s[:, None], b.shape[:2])
-                pcols = np.broadcast_to(nd_t[None, :], b.shape[:2])
-                rb, cb, vb = acc_b[(s, t)]
-                for comp, off_t in enumerate((0, spaces[t].n_scalar)):
-                    rb.append(prows.ravel())
-                    cb.append(pcols.ravel() + off_t)
-                    vb.append(b[:, :, comp].ravel())
+        for s, t in sides:
+            a = (
+                -0.5 * sign[t] * np.einsum("q,qa,qb->ab", w, ndg[s], fd[t].p2v)
+                - 0.5 * sign[s] * np.einsum("q,qa,qb->ab", w, fd[s].p2v, ndg[t])
+                + (gamma / dx) * sign[s] * sign[t]
+                * np.einsum("q,qa,qb->ab", w, fd[s].p2v, fd[t].p2v)
+            )
+            b = 0.5 * sign[t] * np.einsum(
+                "q,qi,qb,c->ibc", w, fd[s].p1v, fd[t].p2v, normal
+            )
+            nd_s = spaces[s].tri_nodes[fd[s].tri]
+            nd_t = spaces[t].tri_nodes[fd[t].tri]
+            ns_t = spaces[t].n_scalar
+            K[s, t].add_elements(nd_s, nd_t, a, ((0, 0), (spaces[s].n_scalar, ns_t)))
+            verts_s = spaces[s].mesh.triangles[fd[s].tri]
+            B[s, t].add_elements(verts_s, nd_t, [b[:, :, 0], b[:, :, 1]], ((0, 0), (0, ns_t)))
 
-    K = {}
-    Bd = {}
-    for s in ("m", "n"):
-        for t in ("m", "n"):
-            r, c, v = acc[(s, t)]
-            K[s + t] = _coo(r, c, v, (spaces[s].n_u, spaces[t].n_u))
-            rb, cb, vb = acc_b[(s, t)]
-            Bd[s + t] = _coo(rb, cb, vb, (spaces[s].n_p, spaces[t].n_u))
-    return InterfaceBlocks(K=K, B=Bd)
+    return InterfaceBlocks(
+        K={s + t: K[s, t].tocsr() for s, t in sides},
+        B={s + t: B[s, t].tocsr() for s, t in sides},
+    )

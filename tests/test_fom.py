@@ -158,6 +158,39 @@ class TestStokes:
         with pytest.raises(ValueError, match="flux"):
             assemble_global(grid, ops, blocks)
 
+    @pytest.mark.parametrize(
+        "g, flux",
+        [
+            (lambda xy: np.stack([xy[:, 0], -xy[:, 1]], axis=-1), None),
+            (lambda xy: np.stack([xy[:, 0] ** 2, np.zeros(len(xy))], axis=-1), 8.0),
+        ],
+        ids=["solenoidal", "x_squared"],
+    )
+    def test_flux_check_on_obstacle_array(self, g, flux):
+        spaces = {
+            "empty": TaylorHoodSpace(generate_empty_mesh(4)),
+            "square": TaylorHoodSpace(generate_obstacle_mesh(4, "square", 0.25)),
+            "circle": TaylorHoodSpace(generate_obstacle_mesh(4, "circle", 0.25)),
+        }
+        ops = {k: build_component_operators(v, NU) for k, v in spaces.items()}
+        blocks = {
+            (a, b, o): assemble_interface_blocks(spaces[a], spaces[b], o, NU)
+            for a in spaces
+            for b in spaces
+            for o in ("H", "V")
+        }
+        bc = {s: SideBC("dirichlet", g) for s in "LRBT"}
+        grid = GridConfig(2, 2, [["empty", "square"], ["circle", "empty"]], NU, bc)
+        if flux is None:
+            system = assemble_global(grid, ops, blocks)
+            assert system.pressure_constraint
+            assert abs(system.rhs_p.sum()) < 1e-12
+        else:
+            # only the right side x = 2 carries flux: 2^2 * side length 2
+            with pytest.raises(ValueError, match="flux") as err:
+                assemble_global(grid, ops, blocks)
+            assert f"flux {flux:.3e} " in str(err.value)
+
 
 class TestNewton:
     def test_channel_converges_immediately(self, empty_parts):

@@ -6,9 +6,9 @@ from cromflow.geometry import (
     GridConfig,
     MeshError,
     SideBC,
-    build_interfaces,
     generate_empty_mesh,
     generate_obstacle_mesh,
+    interface_topology,
     load_mesh,
     match_side_faces,
     save_mesh,
@@ -186,10 +186,7 @@ class TestInterfaces:
     )
     def test_interface_count(self, rows, cols, expected):
         assert rows * (cols - 1) + cols * (rows - 1) == expected
-        if rows * cols <= 16:
-            registry = {"empty": generate_empty_mesh(2)}
-            ifaces = build_interfaces(make_grid(rows, cols), registry)
-            assert len(ifaces) == expected
+        assert len(interface_topology(make_grid(rows, cols))) == expected
 
     def test_face_midpoints_coincide_globally(self):
         registry = {
@@ -208,13 +205,13 @@ class TestInterfaces:
                 "T": SideBC("neumann"),
             },
         )
-        ifaces = build_interfaces(grid, registry)
+        ifaces = interface_topology(grid)
         assert len(ifaces) == 4
-        for entry in ifaces.entries:
-            mesh_m = registry[grid.component_name(entry.m)]
-            mesh_n = registry[grid.component_name(entry.n)]
-            om, on = grid.cell_origin(entry.m), grid.cell_origin(entry.n)
-            for bm, bn in entry.face_pairs:
+        for m, n, orientation in ifaces:
+            mesh_m = registry[grid.component_name(m)]
+            mesh_n = registry[grid.component_name(n)]
+            om, on = grid.cell_origin(m), grid.cell_origin(n)
+            for bm, bn in match_side_faces(mesh_m, mesh_n, orientation):
                 mid_m = mesh_m.vertices[mesh_m.boundary_edges[bm]].mean(axis=0) + om
                 mid_n = mesh_n.vertices[mesh_n.boundary_edges[bn]].mean(axis=0) + on
                 assert np.linalg.norm(mid_m - mid_n) < 1e-12

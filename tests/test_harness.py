@@ -299,3 +299,26 @@ class TestCli:
         out = tmp_path / "study"
         assert main(["study", "scaling", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert (out / "results.csv").exists()
+
+    def test_basis_of_another_mesh_size_rejected(self, tmp_path):
+        from cromflow.cli import main
+        from cromflow._binio import FormatError
+        from cromflow.femspace import TaylorHoodSpace
+        from cromflow.geometry import generate_empty_mesh
+
+        out = tmp_path / "out"
+        cfg = {"train_samples": 6, "basis_size": 4, "tests_per_size": 1, "seed": 3}
+        paths = {}
+        for n in (4, 8):
+            paths[n] = tmp_path / f"cfg{n}.json"
+            paths[n].write_text(json.dumps({**cfg, "n_per_side": n}))
+        assert main(["train", "--config", str(paths[4]), "--out-dir", str(out)]) == 0
+        coarse = TaylorHoodSpace(generate_empty_mesh(4))
+        fine = TaylorHoodSpace(generate_empty_mesh(8))
+        expected = (
+            rf"basis_empty\.bin: component 'empty' expects {fine.n_u} velocity and "
+            rf"{fine.n_p} pressure rows, found {coarse.n_u} and {coarse.n_p}"
+        )
+        for command in (["train-eqp"], ["predict-rom", "--grid-size", "2"]):
+            with pytest.raises(FormatError, match=expected):
+                main(command + ["--config", str(paths[8]), "--out-dir", str(out)])

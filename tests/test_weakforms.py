@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.geometry import ComponentMesh, generate_empty_mesh, generate_obstacle_mesh
 from cromflow.weakforms import (
+    Triplets,
     assemble_dirichlet_blocks,
     assemble_interface_blocks,
     assemble_pressure_stiffness,
@@ -175,9 +176,48 @@ class TestInterfaceBlocks:
         assert abs(uu @ (K2 @ uu)) < 1e-12
 
 
+class TestTriplets:
+    def test_blocks_at_offsets_match_bmat(self):
+        rng = np.random.default_rng(0)
+        dense = rng.standard_normal((2, 3))
+        sparse = sp.random(3, 2, density=0.5, random_state=1, format="csr")
+        acc = Triplets((5, 5))
+        acc.add(dense, 0, 2)
+        acc.add(sparse, 2, 0)
+        expected = sp.bmat([[None, dense], [sparse, None]])
+        assert np.array_equal(acc.tocsr().toarray(), expected.toarray())
+
+    def test_element_blocks_at_offsets_match_bmat(self):
+        # two 2x2 element blocks sharing node 1, placed for both components
+        nodes = np.array([[0, 1], [1, 2]])
+        vals = np.arange(8.0).reshape(2, 2, 2)
+        acc = Triplets((6, 6))
+        acc.add_elements(nodes, nodes, vals, ((0, 0), (3, 3)))
+        one = np.zeros((3, 3))
+        for e in range(2):
+            one[np.ix_(nodes[e], nodes[e])] += vals[e]
+        expected = sp.bmat([[sp.csr_matrix(one), None], [None, sp.csr_matrix(one)]])
+        assert np.array_equal(acc.tocsr().toarray(), expected.toarray())
+
+    def test_duplicates_are_summed(self):
+        acc = Triplets((2, 2))
+        acc.add(np.eye(2), 0, 0)
+        acc.add(sp.csr_matrix(np.eye(2)), 0, 0)
+        one = [np.array([[2.0]]), np.array([[3.0]])]
+        acc.add_elements(np.array([1]), np.array([0]), one, ((0, 0), (0, 0)))
+        mat = acc.tocsr()
+        assert np.array_equal(mat.toarray(), [[2.0, 0.0], [5.0, 2.0]])
+        # the dense block stores its zeros too, so the pattern is the full 2x2
+        assert mat.nnz == 4
+
+    def test_empty_has_shape(self):
+        mat = Triplets((3, 4)).tocsr()
+        assert mat.shape == (3, 4) and mat.nnz == 0
+
+
 class TestDirichletBlocks:
     def test_zero_on_boundary(self, space):
-        K_di, B_di = assemble_dirichlet_blocks(space, "B", NU, penalty_strength(NU))
+        K_di, B_di, _ = assemble_dirichlet_blocks(space, "B", NU, penalty_strength(NU))
         # bubble-like field vanishing on the bottom boundary
         u = vec(space, lambda xy: xy[:, 1] * (1 - xy[:, 1]), lambda xy: np.zeros(len(xy)))
         # the symmetrization and penalty terms vanish; only the consistency
@@ -187,7 +227,7 @@ class TestDirichletBlocks:
     def test_penalty_row_sum(self):
         space = TaylorHoodSpace(generate_empty_mesh(4))
         gamma = 4 * NU
-        K_di, _ = assemble_dirichlet_blocks(space, "B", nu=0.0, gamma=gamma)
+        K_di, _, _ = assemble_dirichlet_blocks(space, "B", nu=0.0, gamma=gamma)
         ones_x = space.interpolate_velocity(
             lambda xy: np.stack([np.ones(len(xy)), np.zeros(len(xy))], axis=-1)
         )
@@ -196,7 +236,7 @@ class TestDirichletBlocks:
         assert abs(ones_x @ (K_di @ ones_x) - gamma / h) < 1e-13
 
     def test_divergence_boundary_block(self, space):
-        _, B_di = assemble_dirichlet_blocks(space, "B", NU, penalty_strength(NU))
+        _, B_di, _ = assemble_dirichlet_blocks(space, "B", NU, penalty_strength(NU))
         u = vec(space, lambda xy: np.zeros(len(xy)), lambda xy: np.ones(len(xy)))
         ones_p = np.ones(space.n_p)
         # n = (0, -1) on the bottom: integral of p n.u = -1 * side length
