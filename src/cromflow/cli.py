@@ -41,11 +41,24 @@ def _save_snapshots(out_dir: Path, snapshots):
         fom.save_solution(_snapshot_path(out_dir, name), snap.U, snap.P)
 
 
-def _load_snapshots(out_dir: Path, cfg):
+def _check_rows(path: Path, name: str, space, n_u: int, n_p: int) -> None:
+    """Refuse a file whose velocity/pressure row counts are not the component space's."""
+    if (n_u, n_p) != (space.n_u, space.n_p):
+        raise FormatError(
+            f"{path}: component {name!r} expects {space.n_u} velocity and "
+            f"{space.n_p} pressure rows, found {n_u} and {n_p}"
+        )
+
+
+def _load_snapshots(out_dir: Path, cfg, parts) -> dict:
+    """Snapshot file of each component, its row counts checked against the component's space."""
     sets = {}
     for name in cfg.components:
-        data = fom.load_solution(_snapshot_path(out_dir, name))
-        sets[name] = reduction.SnapshotSet(name, data["u"], data["p"])
+        path = _snapshot_path(out_dir, name)
+        data = fom.load_solution(path)
+        u, p = data["u"], data["p"]
+        _check_rows(path, name, parts.spaces[name], u.shape[0], p.shape[0])
+        sets[name] = reduction.SnapshotSet(name, u, p)
     return sets
 
 
@@ -55,12 +68,7 @@ def _load_bases(out_dir: Path, cfg, parts) -> dict:
     for name in cfg.components:
         path = out_dir / f"basis_{name}.bin"
         basis = load_basis(path)
-        space = parts.spaces[name]
-        if (basis.n_u, basis.n_p) != (space.n_u, space.n_p):
-            raise FormatError(
-                f"{path}: component {name!r} expects {space.n_u} velocity and "
-                f"{space.n_p} pressure rows, found {basis.n_u} and {basis.n_p}"
-            )
+        _check_rows(path, name, parts.spaces[name], basis.n_u, basis.n_p)
         bases[name] = basis
     return bases
 
@@ -90,7 +98,7 @@ def cmd_train(args):
     parts = harness.build_component_set(cfg)
     snapshots = None
     if _snapshot_path(args.out_dir, cfg.components[0]).exists():
-        snapshots = _load_snapshots(args.out_dir, cfg)
+        snapshots = _load_snapshots(args.out_dir, cfg, parts)
     model = harness.train_model(cfg, parts=parts, snapshots=snapshots, with_eqp=False)
     _save_snapshots(args.out_dir, model.snapshots)
     for name in cfg.components:
@@ -104,7 +112,7 @@ def cmd_train_eqp(args):
     cfg = _load_config(args)
     parts = harness.build_component_set(cfg)
     bases = _load_bases(args.out_dir, cfg, parts)
-    snapshots = _load_snapshots(args.out_dir, cfg)
+    snapshots = _load_snapshots(args.out_dir, cfg, parts)
     for name in cfg.components:
         ops = parts.operators[name]
         rule, eps = harness.train_eqp_rule(cfg, ops, bases[name], snapshots[name])

@@ -10,11 +10,11 @@ which favors small support over least-squares optimality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import _binio
+from .reduction import SnapshotSet
 from .weakforms import ComponentOperators
 
 RULE_MAGIC = b"CROMEQP2"
@@ -91,14 +91,12 @@ class EqpRule:
         return self._layouts[1:]
 
 
-def build_manifest(ops: ComponentOperators, phi_u: np.ndarray, snapshots) -> EqpManifest:
-    """Assemble the EQP constraint matrix from basis columns and snapshots.
-
-    ``snapshots`` is a :class:`~cromflow.reduction.SnapshotSet` or a plain
-    (n_u, S) velocity snapshot matrix.
-    """
-    U = snapshots.U if hasattr(snapshots, "U") else np.asarray(snapshots)
-    component = getattr(snapshots, "component", "")
+def build_manifest(
+    ops: ComponentOperators, phi_u: np.ndarray, snapshots: SnapshotSet
+) -> EqpManifest:
+    """Assemble the EQP constraint matrix from basis columns and the
+    velocity snapshots of one component."""
+    U = snapshots.U
     vals, _ = ops.adv.basis_at_quad(phi_u)          # (n_pts, R, 2)
     w_full = ops.adv.quad_weights
     space = ops.space
@@ -115,7 +113,7 @@ def build_manifest(ops: ComponentOperators, phi_u: np.ndarray, snapshots) -> Eqp
     G = np.vstack(rows)                               # rows grouped (s, b)
     d = G @ w_full
     return EqpManifest(
-        component=component,
+        component=snapshots.component,
         G=G,
         d=d,
         w_full=w_full,
@@ -124,14 +122,15 @@ def build_manifest(ops: ComponentOperators, phi_u: np.ndarray, snapshots) -> Eqp
     )
 
 
-def nnls(G: np.ndarray, d: np.ndarray, rel_tol: float = 0.0, max_iter: Optional[int] = None):
+def nnls(G: np.ndarray, d: np.ndarray, rel_tol: float = 0.0):
     """Non-negative least squares by Lawson-Hanson active sets, early-stopped.
 
     With ``rel_tol > 0`` the active-set loop terminates as soon as
     ||G w - d|| <= rel_tol ||d||, trading least-squares optimality for a
     small support; :class:`EqpError` is raised when even the NNLS optimum
     misses that target.  With ``rel_tol = 0`` it runs to the NNLS optimum.
-    Ties in column selection break to the lowest index.
+    Ties in column selection break to the lowest index.  The outer loop
+    runs at most 3 n times for n columns.
     """
     G = np.asarray(G, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -145,12 +144,11 @@ def nnls(G: np.ndarray, d: np.ndarray, rel_tol: float = 0.0, max_iter: Optional[
     A = G.T @ G
     b = G.T @ d
     passive = np.zeros(n, dtype=bool)
-    max_iter = max_iter or 3 * n
     grad_tol = 1e-12 * max(np.abs(b).max(), 1.0)
 
     best = d_norm
     at_optimum = False
-    for _ in range(max_iter):
+    for _ in range(3 * n):
         if rel_tol > 0 and best <= target:
             return w
         grad = b - A @ w
@@ -204,11 +202,10 @@ def train_rule(
     d_norm = np.linalg.norm(manifest.d)
     res = float(np.linalg.norm(manifest.G @ w - manifest.d))
     res_rel = res / d_norm if d_norm > 0 else 0.0
-    elem, loc = ops.adv.point_ids()
-    vals, grads = ops.adv.basis_at_quad(phi_u)
     if support.size > manifest.n_basis * manifest.n_snapshots + 1:
         raise EqpError("support exceeds the constraint count")
-    return EqpRule(
+    elem, loc = ops.adv.point_ids()
+    rule = EqpRule(
         component=manifest.component,
         element_ids=elem[support],
         local_ids=loc[support],
@@ -216,9 +213,8 @@ def train_rule(
         eps=float(eps),
         residual=res_rel,
         n_basis=manifest.n_basis,
-        basis_values=vals[support],
-        basis_grads=grads[support],
     )
+    return attach_basis_data(rule, ops, phi_u)
 
 
 def attach_basis_data(rule: EqpRule, ops: ComponentOperators, phi_u: np.ndarray) -> EqpRule:

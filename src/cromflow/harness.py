@@ -146,7 +146,6 @@ class ExperimentConfig:
     predict_sizes: tuple = (2, 4, 8)
     tests_per_size: int = 20
     seed: int = 0
-    timing_repeats: int = 1
     newton_tol: float = 1e-8
     newton_max_iter: int = 50
 
@@ -191,7 +190,10 @@ def build_component_meshes(cfg: ExperimentConfig) -> dict:
         elif name == "circle":
             meshes[name] = generate_obstacle_mesh(cfg.n_per_side, "circle", cfg.circle_half_width)
         else:
-            raise ValueError(f"unknown component {name!r} (use mesh import for custom shapes)")
+            raise ValueError(
+                f"unknown component {name!r}; supported components are "
+                "'empty', 'square' and 'circle'"
+            )
     return meshes
 
 
@@ -206,8 +208,8 @@ class ComponentSet:
     interface_blocks: dict
 
 
-def build_component_set(cfg: ExperimentConfig, meshes: Optional[dict] = None) -> ComponentSet:
-    meshes = meshes or build_component_meshes(cfg)
+def build_component_set(cfg: ExperimentConfig) -> ComponentSet:
+    meshes = build_component_meshes(cfg)
     spaces = {name: TaylorHoodSpace(mesh) for name, mesh in meshes.items()}
     nu = cfg.viscosity
     operators = {name: build_component_operators(space, nu) for name, space in spaces.items()}
@@ -226,21 +228,14 @@ def random_cells(rng: np.random.Generator, rows: int, cols: int, pool) -> list:
     return [[pool[picks[r, c]] for c in range(cols)] for r in range(rows)]
 
 
-def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet, rng=None):
+def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
     """Solve random small arrays and restrict solutions per reference component.
 
     Non-convergent samples are skipped and logged.  Returns (snapshot sets
     by component, number of skipped samples).
     """
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    sets = {
-        name: SnapshotSet(
-            name,
-            np.zeros((parts.spaces[name].n_u, 0)),
-            np.zeros((parts.spaces[name].n_p, 0)),
-        )
-        for name in cfg.components
-    }
+    rng = np.random.default_rng(cfg.seed)
+    columns = {name: ([], []) for name in cfg.components}
     skipped = 0
     for i in range(cfg.train_samples):
         cells = random_cells(rng, cfg.train_rows, cfg.train_cols, cfg.components)
@@ -266,12 +261,18 @@ def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet, rng=None):
             skipped += 1
             continue
         for m in range(grid.n_subdomains):
-            name = grid.component_name(m)
-            sets[name].append(
-                u[system.slice_u(m)],
-                p[system.slice_p(m)],
-                {"sample": i, "cell": m, **sample.as_row()},
-            )
+            us, ps = columns[grid.component_name(m)]
+            us.append(u[system.slice_u(m)])
+            ps.append(p[system.slice_p(m)])
+    sets = {}
+    for name, (us, ps) in columns.items():
+        space = parts.spaces[name]
+        # the empty leading block keeps the row count when no column came in
+        sets[name] = SnapshotSet(
+            name,
+            np.column_stack([np.zeros((space.n_u, 0)), *us]),
+            np.column_stack([np.zeros((space.n_p, 0)), *ps]),
+        )
     return sets, skipped
 
 
@@ -293,11 +294,10 @@ class TrainedModel:
         return dims
 
 
-def train_bases(cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict, z=None) -> dict:
-    z = cfg.z if z is None else z
+def train_bases(cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict) -> dict:
     return {
         name: build_pod_basis(
-            snapshots[name], parts.operators[name], cfg.basis_size, cfg.r_p, z
+            snapshots[name], parts.operators[name], cfg.basis_size, cfg.r_p, cfg.z
         )
         for name in cfg.components
     }
@@ -308,7 +308,6 @@ def train_model(
     parts: Optional[ComponentSet] = None,
     snapshots: Optional[dict] = None,
     with_eqp: bool = True,
-    z: Optional[int] = None,
 ) -> TrainedModel:
     """Full training pipeline: snapshots, POD + supremizers, projection, tensors, EQP."""
     parts = parts or build_component_set(cfg)
@@ -321,7 +320,7 @@ def train_model(
             skipped,
             time.perf_counter() - t0,
         )
-    bases = train_bases(cfg, parts, snapshots, z=z)
+    bases = train_bases(cfg, parts, snapshots)
     reduced, riface = project_linear(parts.operators, parts.interface_blocks, bases)
     eqp_tols = {}
     for name in cfg.components:
@@ -355,46 +354,30 @@ def train_eqp_rule(cfg: ExperimentConfig, ops, basis, snapshots):
 # --- prediction studies -----------------------------------------------------
 
 
-def _timed(repeats, fn):
-    """Median wall time of repeated runs; returns (result of last run, seconds)."""
-    times = []
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return result, float(np.median(times))
+def _solve_case(model: TrainedModel, grid: GridConfig, backends):
+    """One test case: FOM reference plus a ROM solve per requested backend.
 
-
-def _solve_case(model: TrainedModel, grid: GridConfig, backends, repeats: int):
-    """One test case: FOM reference plus a ROM solve per requested backend."""
+    The ``*_assembly_s`` and ``*_solve_s`` columns are the systems' own
+    assembly times and the solve reports' total wall times.
+    """
     cfg = model.cfg
     parts = model.parts
     row = {}
-    fom_sys, t_asm = _timed(
-        repeats, lambda: assemble_global(grid, parts.operators, parts.interface_blocks)
-    )
-    (u_f, p_f, rep_f), t_solve = _timed(
-        repeats,
-        lambda: solve_newton(fom_sys, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter),
-    )
+    fom_sys = assemble_global(grid, parts.operators, parts.interface_blocks)
+    u_f, p_f, rep_f = solve_newton(fom_sys, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     row.update(
         fom_dofs=fom_sys.n_dof,
         fom_converged=rep_f.converged,
         fom_iterations=rep_f.newton_iterations,
         fom_residual=rep_f.residual_history[-1],
-        fom_assembly_s=t_asm,
-        fom_solve_s=t_solve,
+        fom_assembly_s=fom_sys.assembly_time,
+        fom_solve_s=rep_f.wall_times["total"],
     )
     lifted = {}
     for backend in backends:
-        rom_sys, t_rasm = _timed(
-            repeats,
-            lambda: assemble_global_rom(grid, model.reduced, model.reduced_interfaces, backend),
-        )
-        (uh, ph, rep_r), t_rsolve = _timed(
-            repeats,
-            lambda: solve_rom_newton(rom_sys, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter),
+        rom_sys = assemble_global_rom(grid, model.reduced, model.reduced_interfaces, backend)
+        uh, ph, rep_r = solve_rom_newton(
+            rom_sys, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter
         )
         lifted[backend] = lift(rom_sys, uh, ph)
         errs = relative_errors(fom_sys, u_f, p_f, lifted[backend])
@@ -405,8 +388,8 @@ def _solve_case(model: TrainedModel, grid: GridConfig, backends, repeats: int):
                 f"rom_{backend}_iterations": rep_r.newton_iterations,
                 f"vel_err_{backend}": errs["velocity_rel_l2"],
                 f"pres_err_{backend}": errs["pressure_rel_l2"],
-                f"rom_{backend}_assembly_s": t_rasm,
-                f"rom_{backend}_solve_s": t_rsolve,
+                f"rom_{backend}_assembly_s": rom_sys.assembly_time,
+                f"rom_{backend}_solve_s": rep_r.wall_times["total"],
             }
         )
     if len(backends) == 2:
@@ -439,8 +422,9 @@ def _test_cases(cfg: ExperimentConfig, rng: np.random.Generator, L: int) -> list
     return cases
 
 
-def run_scaling_study(model: TrainedModel, out_dir, backends=(TENSORIAL, EQP)) -> Path:
-    """Errors and timings over grid sizes; one row per (size, test case)."""
+def run_scaling_study(model: TrainedModel, out_dir) -> Path:
+    """Errors and timings of both backends over grid sizes; one row per
+    (size, test case)."""
     cfg = model.cfg
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -454,13 +438,13 @@ def run_scaling_study(model: TrainedModel, out_dir, backends=(TENSORIAL, EQP)) -
                 "cells": ";".join(c for r in cells for c in r),
                 **sample.as_row(),
             }
-            row.update(_solve_case(model, grid, backends, cfg.timing_repeats))
+            row.update(_solve_case(model, grid, (TENSORIAL, EQP)))
             rows.append(row)
             log.info(
                 "scaling L=%d case %d: vel err %s",
                 L,
                 case,
-                {b: row.get(f"vel_err_{b}") for b in backends},
+                {b: row.get(f"vel_err_{b}") for b in (TENSORIAL, EQP)},
             )
     path = out_dir / "results.csv"
     _write_csv(path, rows)
@@ -481,12 +465,11 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
     # the test set is fixed across Z so rows are comparable
     cases = _test_cases(cfg, np.random.default_rng(cfg.seed + 2), grid_size)
     for z in z_values:
-        sub = train_model(
-            cfg, parts=model.parts, snapshots=model.snapshots, with_eqp=False, z=z
-        )
+        sub_cfg = replace(cfg, supremizer_size=z)
+        sub = train_model(sub_cfg, parts=model.parts, snapshots=model.snapshots, with_eqp=False)
         for case, (_, sample, grid) in enumerate(cases):
             row = {"Z": z, "case": case, **sample.as_row()}
-            row.update(_solve_case(sub, grid, (TENSORIAL,), cfg.timing_repeats))
+            row.update(_solve_case(sub, grid, (TENSORIAL,)))
             row["B_sigma_min_l2"] = assemble_global_rom(
                 grid, sub.reduced, sub.reduced_interfaces
             ).divergence_sigma_min()
@@ -522,7 +505,7 @@ def run_backend_comparison(model: TrainedModel, out_dir, r_values, grid_size=4) 
             row["eqp_points"] = ";".join(
                 str(sub.reduced[name].eqp_rule.n_points) for name in cfg.components
             )
-            row.update(_solve_case(sub, grid, (TENSORIAL, EQP), cfg.timing_repeats))
+            row.update(_solve_case(sub, grid, (TENSORIAL, EQP)))
             rows.append(row)
             log.info(
                 "backend R=%d case %d: diff %.3e",

@@ -34,16 +34,10 @@ class SnapshotSet:
     component: str
     U: np.ndarray                # (n_u, S)
     P: np.ndarray                # (n_p, S)
-    metadata: list = field(default_factory=list)
 
     @property
     def count(self) -> int:
         return self.U.shape[1]
-
-    def append(self, u: np.ndarray, p: np.ndarray, meta=None):
-        self.U = np.column_stack([self.U, u])
-        self.P = np.column_stack([self.P, p])
-        self.metadata.append(meta or {})
 
 
 def pod(A: np.ndarray):
@@ -80,12 +74,12 @@ def supremizers(B: sp.spmatrix, phi_p: np.ndarray, Z: int) -> np.ndarray:
     return B.T @ phi_p[:, :Z]
 
 
-def enrich_and_orthonormalize(phi: np.ndarray, candidates: np.ndarray, drop_tol: float = 1e-10):
+def enrich_and_orthonormalize(phi: np.ndarray, candidates: np.ndarray):
     """Append candidate columns to an orthonormal basis by modified Gram-Schmidt.
 
     The existing columns are untouched; candidates whose post-projection norm
-    falls below ``drop_tol`` (relative to their own norm) are dropped with a
-    warning.  Returns (augmented basis, number of columns kept).
+    falls below 1e-10 of their own norm are dropped with a warning.  Returns
+    (augmented basis, number of columns kept).
     """
     cols = [phi[:, k] for k in range(phi.shape[1])]
     kept = 0
@@ -100,7 +94,7 @@ def enrich_and_orthonormalize(phi: np.ndarray, candidates: np.ndarray, drop_tol:
             for q in cols:
                 z -= (q @ z) * q
         norm = np.linalg.norm(z)
-        if norm <= drop_tol * scale:
+        if norm <= 1e-10 * scale:
             dropped += 1
             continue
         cols.append(z / norm)

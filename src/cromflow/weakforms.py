@@ -21,14 +21,14 @@ from .femspace import P1_GRAD, TaylorHoodSpace, LINE_QP, LINE_QW
 from .geometry import ComponentMesh, OBSTACLE_TAG, SIDES, match_side_faces
 
 
-def penalty_strength(nu: float, degree: int = 2) -> float:
-    """Interface/boundary penalty nu * (degree + 1)^2 for the velocity space.
+def penalty_strength(nu: float) -> float:
+    """Interface/boundary penalty nu * (k + 1)^2 = 9 nu for the quadratic
+    (k = 2) Taylor-Hood velocity.
 
-    ``degree`` is the polynomial order of the penalized (velocity) space;
-    the quadratic Taylor-Hood velocity gives 9 nu.  Weaker penalties leave
-    the coupled viscous operator indefinite on component grids.
+    Weaker penalties leave the coupled viscous operator indefinite on
+    component grids.
     """
-    return nu * (degree + 1) ** 2
+    return nu * 9
 
 
 class Triplets:
@@ -309,9 +309,8 @@ def assemble_dirichlet_blocks(space: TaylorHoodSpace, tag: str, nu: float, gamma
     return K.tocsr(), B.tocsr(), loads
 
 
-def build_component_operators(space: TaylorHoodSpace, nu: float, gamma=None) -> ComponentOperators:
-    if gamma is None:
-        gamma = penalty_strength(nu)
+def build_component_operators(space: TaylorHoodSpace, nu: float) -> ComponentOperators:
+    gamma = penalty_strength(nu)
     tags = list(SIDES)
     if any(t == OBSTACLE_TAG for t in space.mesh.boundary_tags):
         tags.append(OBSTACLE_TAG)

@@ -322,7 +322,7 @@ class TestCriterion5:
             grid = GridConfig(
                 4, 4, cells, cfg.viscosity, bc_from_sample(sample_inflow(rng))
             )
-            row = _solve_case(model, grid, ("tensorial", "eqp"), 1)
+            row = _solve_case(model, grid, ("tensorial", "eqp"))
             diffs.append(row["backend_vel_diff"])
         elapsed = time.perf_counter() - t0
         passed = max(diffs) <= tol and elapsed < 600.0

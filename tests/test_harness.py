@@ -8,6 +8,7 @@ from cromflow.geometry import SIDES
 from cromflow.harness import (
     ExperimentConfig,
     bc_from_sample,
+    build_component_meshes,
     build_component_set,
     generate_snapshots,
     run_backend_comparison,
@@ -107,6 +108,15 @@ class TestSnapshots:
             assert snap.U.shape[0] == parts.spaces[name].n_u
             assert snap.U.shape[1] == snap.P.shape[1]
 
+    def test_no_samples_give_empty_sets_of_full_height(self):
+        cfg = ExperimentConfig(**{**TINY, "train_samples": 0})
+        parts = build_component_set(cfg)
+        sets, skipped = generate_snapshots(cfg, parts)
+        assert skipped == 0
+        for name in cfg.components:
+            assert sets[name].U.shape == (parts.spaces[name].n_u, 0)
+            assert sets[name].P.shape == (parts.spaces[name].n_p, 0)
+
     def test_duplicate_seed_bit_identical(self):
         cfg = ExperimentConfig(**{**TINY, "train_samples": 6})
         parts = build_component_set(cfg)
@@ -130,6 +140,21 @@ class TestConfig:
         path.write_text(json.dumps({"no_such_knob": 1}))
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_json(path)
+
+    def test_removed_timing_repeats_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"timing_repeats": 3}))
+        with pytest.raises(ValueError, match="unknown config keys: \\['timing_repeats'\\]"):
+            ExperimentConfig.from_json(path)
+
+    def test_unknown_component_names_the_supported_ones(self):
+        cfg = ExperimentConfig(n_per_side=4, components=("empty", "hexagon"))
+        with pytest.raises(
+            ValueError,
+            match="unknown component 'hexagon'; supported components are "
+            "'empty', 'square' and 'circle'",
+        ):
+            build_component_meshes(cfg)
 
     def test_defaults(self):
         cfg = ExperimentConfig()
@@ -241,23 +266,28 @@ class TestSelfConsistency:
             assert worst <= 10.0 * bound
 
 
+def tiny_cli_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps(
+            {
+                "train_samples": 8,
+                "basis_size": 5,
+                "n_per_side": 6,
+                "tests_per_size": 1,
+                "predict_sizes": [2],
+                "seed": 3,
+            }
+        )
+    )
+    return path
+
+
 class TestCli:
     def test_full_pipeline(self, tmp_path):
         from cromflow.cli import main
 
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "train_samples": 8,
-                    "basis_size": 5,
-                    "n_per_side": 6,
-                    "tests_per_size": 1,
-                    "predict_sizes": [2],
-                    "seed": 3,
-                }
-            )
-        )
+        cfg_path = tiny_cli_config(tmp_path)
         out = tmp_path / "out"
         assert main(["mesh-gen", "--kind", "square", "--n", "6", "--out", str(tmp_path / "m.txt")]) == 0
         from cromflow.geometry import load_mesh
@@ -283,22 +313,59 @@ class TestCli:
     def test_study_command(self, tmp_path):
         from cromflow.cli import main
 
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "train_samples": 8,
-                    "basis_size": 5,
-                    "n_per_side": 6,
-                    "tests_per_size": 1,
-                    "predict_sizes": [2],
-                    "seed": 3,
-                }
-            )
-        )
+        cfg_path = tiny_cli_config(tmp_path)
         out = tmp_path / "study"
         assert main(["study", "scaling", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "which, flag, column, values, backends",
+        [
+            ("supremizer", "--z-values", "Z", ["0", "2"], ["tensorial"]),
+            ("backend", "--r-values", "R", ["3", "4"], ["tensorial", "eqp"]),
+        ],
+    )
+    def test_study_sweeps(self, tmp_path, which, flag, column, values, backends):
+        from cromflow.cli import main
+
+        cfg_path = tiny_cli_config(tmp_path)
+        out = tmp_path / which
+        argv = ["study", which, "--config", str(cfg_path), "--out-dir", str(out), flag, *values]
+        assert main(argv) == 0
+        rows = read_csv(out / "results.csv")
+        # one test case per value, on the study's 4x4 array
+        assert [row[column] for row in rows] == values
+        for row in rows:
+            for backend in backends:
+                assert row[f"rom_{backend}_converged"] in ("True", "False")
+                assert float(row[f"rom_{backend}_solve_s"]) > 0.0
+        if which == "backend":
+            assert all(len(row["eqp_points"].split(";")) == 3 for row in rows)
+            assert all("backend_vel_diff" in row for row in rows)
+        else:
+            assert "rom_eqp_converged" not in rows[0]
+
+    def test_snapshots_of_another_mesh_size_rejected(self, tmp_path):
+        from cromflow.cli import main
+        from cromflow._binio import FormatError
+        from cromflow.femspace import TaylorHoodSpace
+        from cromflow.geometry import generate_empty_mesh
+
+        out = tmp_path / "out"
+        cfg = {"train_samples": 6, "basis_size": 4, "tests_per_size": 1, "seed": 3}
+        paths = {}
+        for n in (4, 8):
+            paths[n] = tmp_path / f"cfg{n}.json"
+            paths[n].write_text(json.dumps({**cfg, "n_per_side": n}))
+        assert main(["sample", "--config", str(paths[4]), "--out-dir", str(out)]) == 0
+        coarse = TaylorHoodSpace(generate_empty_mesh(4))
+        fine = TaylorHoodSpace(generate_empty_mesh(8))
+        expected = (
+            rf"snapshots_empty\.bin: component 'empty' expects {fine.n_u} velocity and "
+            rf"{fine.n_p} pressure rows, found {coarse.n_u} and {coarse.n_p}"
+        )
+        with pytest.raises(FormatError, match=expected):
+            main(["train", "--config", str(paths[8]), "--out-dir", str(out)])
 
     def test_basis_of_another_mesh_size_rejected(self, tmp_path):
         from cromflow.cli import main
