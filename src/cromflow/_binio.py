@@ -99,11 +99,12 @@ def read_arrays(path, magic: bytes, required: dict, extra: bool = False) -> dict
     stored = _CRC.unpack_from(data, cur.end)[0]
     if zlib.crc32(memoryview(data)[: cur.end]) != stored:
         raise FormatError(f"{path}: checksum mismatch")
-    _check(path, entries, required, extra)
-    return {
+    arrays = {
         name: np.frombuffer(data, _DTYPES[code], math.prod(dims), start).reshape(dims).copy()
         for name, (code, dims, start) in entries.items()
     }
+    check_arrays(path, arrays, required, extra)
+    return arrays
 
 
 class _Cursor:
@@ -130,18 +131,23 @@ class _Cursor:
         return _U64.unpack(self.take(_U64.size, what))[0]
 
 
-def _check(path, entries: dict, required: dict, extra: bool) -> None:
-    missing = [name for name in required if name not in entries]
+def check_arrays(path, arrays: dict, required: dict, extra: bool = False) -> None:
+    """Check arrays read from ``path`` against ``required``, as :func:`read_arrays` does.
+
+    For a file whose layout is described by one of its own arrays: read it
+    with ``extra`` set, then check the rest against the layout it gives.
+    """
+    missing = [name for name in required if name not in arrays]
     if missing:
         raise FormatError(f"{path}: missing arrays {missing}")
-    unexpected = [name for name in entries if name not in required]
+    unexpected = [name for name in arrays if name not in required]
     if unexpected and not extra:
         raise FormatError(f"{path}: unexpected arrays {unexpected}")
     sizes = {}
     for name, (dtype, shape) in required.items():
-        code, dims, _ = entries[name]
-        if code.decode() != dtype:
-            raise FormatError(f"{path}: array {name!r} is {code.decode()}, expected {dtype}")
+        code, dims = arrays[name].dtype.str[1:], arrays[name].shape
+        if code != dtype:
+            raise FormatError(f"{path}: array {name!r} is {code}, expected {dtype}")
         if shape is None:
             continue
         if len(dims) != len(shape) or dims != tuple(

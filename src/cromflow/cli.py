@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fom, geometry, harness, reduction, rom
-from ._binio import FormatError
 from .eqp import save_rule
-from .reduction import load_basis, save_basis, save_tensor
+from .reduction import check_rows, load_basis, save_basis, save_tensor
 
 
 def _add_common(parser):
@@ -41,15 +40,6 @@ def _save_snapshots(out_dir: Path, snapshots):
         fom.save_solution(_snapshot_path(out_dir, name), snap.U, snap.P)
 
 
-def _check_rows(path: Path, name: str, space, n_u: int, n_p: int) -> None:
-    """Refuse a file whose velocity/pressure row counts are not the component space's."""
-    if (n_u, n_p) != (space.n_u, space.n_p):
-        raise FormatError(
-            f"{path}: component {name!r} expects {space.n_u} velocity and "
-            f"{space.n_p} pressure rows, found {n_u} and {n_p}"
-        )
-
-
 def _load_snapshots(out_dir: Path, cfg, parts) -> dict:
     """Snapshot file of each component, its row counts checked against the component's space."""
     sets = {}
@@ -57,7 +47,7 @@ def _load_snapshots(out_dir: Path, cfg, parts) -> dict:
         path = _snapshot_path(out_dir, name)
         data = fom.load_solution(path)
         u, p = data["u"], data["p"]
-        _check_rows(path, name, parts.spaces[name], u.shape[0], p.shape[0])
+        check_rows(path, name, parts.spaces[name], u.shape[0], p.shape[0])
         sets[name] = reduction.SnapshotSet(name, u, p)
     return sets
 
@@ -68,7 +58,7 @@ def _load_bases(out_dir: Path, cfg, parts) -> dict:
     for name in cfg.components:
         path = out_dir / f"basis_{name}.bin"
         basis = load_basis(path)
-        _check_rows(path, name, parts.spaces[name], basis.n_u, basis.n_p)
+        check_rows(path, name, parts.spaces[name], basis.n_u, basis.n_p)
         bases[name] = basis
     return bases
 
@@ -104,6 +94,7 @@ def cmd_train(args):
     for name in cfg.components:
         save_basis(model.bases[name], args.out_dir / f"basis_{name}.bin")
         save_tensor(model.reduced[name].tensor, args.out_dir / f"tensor_{name}.bin")
+    rom.save_model(args.out_dir / rom.MODEL_FILE, cfg, model.reduced, model.reduced_interfaces)
     cfg.to_json(args.out_dir / "config.json")
     print(f"trained bases for {list(cfg.components)} -> {args.out_dir}")
 
@@ -153,23 +144,9 @@ def cmd_predict_fom(args):
 
 
 def cmd_predict_rom(args):
-    from .eqp import attach_basis_data, load_rule
-
     cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    parts = harness.build_component_set(cfg)
-    bases = _load_bases(args.out_dir, cfg, parts)
-    reduced, riface = reduction.project_linear(
-        parts.operators, parts.interface_blocks, bases
-    )
-    for name in cfg.components:
-        if args.backend == rom.TENSORIAL:
-            reduced[name].tensor = reduction.load_tensor(args.out_dir / f"tensor_{name}.bin")
-        else:
-            rule = load_rule(args.out_dir / f"eqp_{name}.bin")
-            reduced[name].eqp_rule = attach_basis_data(
-                rule, parts.operators[name], bases[name].phi_u
-            )
+    reduced, riface = rom.load_model(args.out_dir, cfg, args.backend)
     rng = np.random.default_rng(cfg.seed)
     grid, sample = _grid_from_args(args, cfg, rng)
     system = rom.assemble_global_rom(grid, reduced, riface, args.backend)
@@ -178,6 +155,8 @@ def cmd_predict_rom(args):
     )
     rom.save_rom_solution(args.out_dir / "rom_solution.bin", uh, ph)
     if args.vtk:
+        # the field file is laid out on the full-order system
+        parts = harness.build_component_set(cfg)
         lifted = rom.lift(system, uh, ph)
         fom_sys = fom.assemble_global(grid, parts.operators, parts.interface_blocks)
         fom.export_vtk(args.out_dir / "rom_solution.vtk", fom_sys, lifted.u, lifted.p)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _binio
-from .reduction import SnapshotSet
+from .reduction import SnapshotSet, basis_checksum
 from .weakforms import ComponentOperators
 
-RULE_MAGIC = b"CROMEQP2"
+RULE_MAGIC = b"CROMEQP3"
 
 
 class EqpError(RuntimeError):
@@ -47,7 +47,11 @@ class EqpManifest:
 
 @dataclass
 class EqpRule:
-    """Sparse positive quadrature rule with cached basis data at its points."""
+    """Sparse positive quadrature rule with the velocity basis data at its points.
+
+    ``phi_u_checksum`` is the :func:`~cromflow.reduction.basis_checksum` of
+    the velocity basis that data was taken from.
+    """
 
     component: str
     element_ids: np.ndarray      # (n,) int
@@ -58,6 +62,7 @@ class EqpRule:
     n_basis: int
     basis_values: np.ndarray = field(repr=False, default=None)    # (n, R, 2)
     basis_grads: np.ndarray = field(repr=False, default=None)     # (n, R, 2, 2)
+    phi_u_checksum: str = ""
     _layouts: tuple = field(repr=False, default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -218,7 +223,7 @@ def train_rule(
 
 
 def attach_basis_data(rule: EqpRule, ops: ComponentOperators, phi_u: np.ndarray) -> EqpRule:
-    """Recompute the cached per-point basis data (after loading from file).
+    """Evaluate the velocity basis ``phi_u`` at the rule's points.
 
     Raises :class:`~cromflow._binio.FormatError` when a point lies outside
     the component's mesh or quadrature rule.
@@ -237,6 +242,7 @@ def attach_basis_data(rule: EqpRule, ops: ComponentOperators, phi_u: np.ndarray)
     rule.basis_values = vals[flat]
     rule.basis_grads = grads[flat]
     rule.n_basis = phi_u.shape[1]
+    rule.phi_u_checksum = basis_checksum(phi_u)
     return rule
 
 
@@ -280,12 +286,16 @@ _RULE_ARRAYS = {
     "weights": ("f8", ("n",)),
     "eps": ("f8", ()),
     "residual": ("f8", ()),
+    "basis_values": ("f8", ("n", "r", 2)),
+    "basis_grads": ("f8", ("n", "r", 2, 2)),
+    "phi_u_checksum": ("i8", (64,)),
 }
 
 
 def save_rule(rule: EqpRule, path) -> None:
     arrays = {name: getattr(rule, name) for name in _RULE_ARRAYS}
     arrays["component"] = _binio.text_array(rule.component)
+    arrays["phi_u_checksum"] = _binio.text_array(rule.phi_u_checksum)
     _binio.write_arrays(path, RULE_MAGIC, arrays)
 
 
@@ -295,7 +305,8 @@ def load_rule(path) -> EqpRule:
     try:
         return EqpRule(
             component, a["element_ids"], a["local_ids"], a["weights"],
-            float(a["eps"]), float(a["residual"]), n_basis=0,
+            float(a["eps"]), float(a["residual"]), a["basis_values"].shape[1],
+            a["basis_values"], a["basis_grads"], _binio.array_text(a["phi_u_checksum"]),
         )
     except ValueError as exc:
         raise _binio.FormatError(f"{path}: {exc}") from exc

@@ -224,6 +224,25 @@ def generate_obstacle_mesh(n_per_side: int, shape: str, half_width: float) -> Co
     return ComponentMesh(vertices, np.array(tris), np.array(edges), tuple(tags))
 
 
+def build_component_meshes(cfg) -> dict:
+    """Mesh of each component named in ``cfg.components``, at ``cfg.n_per_side``
+    segments per side with the configured obstacle half widths."""
+    meshes = {}
+    for name in cfg.components:
+        if name == "empty":
+            meshes[name] = generate_empty_mesh(cfg.n_per_side)
+        elif name == "square":
+            meshes[name] = generate_obstacle_mesh(cfg.n_per_side, "square", cfg.square_half_width)
+        elif name == "circle":
+            meshes[name] = generate_obstacle_mesh(cfg.n_per_side, "circle", cfg.circle_half_width)
+        else:
+            raise ValueError(
+                f"unknown component {name!r}; supported components are "
+                "'empty', 'square' and 'circle'"
+            )
+    return meshes
+
+
 # --- mesh text format ------------------------------------------------------
 
 _MESH_HEADER = "CROM-MESH 1"

@@ -21,12 +21,7 @@ import numpy as np
 
 from .femspace import TaylorHoodSpace
 from .fom import assemble_global, solve_newton
-from .geometry import (
-    GridConfig,
-    SideBC,
-    generate_empty_mesh,
-    generate_obstacle_mesh,
-)
+from .geometry import GridConfig, SideBC, build_component_meshes
 from .eqp import build_manifest, train_rule
 from .reduction import (
     SnapshotSet,
@@ -178,23 +173,6 @@ class ExperimentConfig:
         data["components"] = list(self.components)
         data["predict_sizes"] = list(self.predict_sizes)
         Path(path).write_text(json.dumps(data, indent=2) + "\n")
-
-
-def build_component_meshes(cfg: ExperimentConfig) -> dict:
-    meshes = {}
-    for name in cfg.components:
-        if name == "empty":
-            meshes[name] = generate_empty_mesh(cfg.n_per_side)
-        elif name == "square":
-            meshes[name] = generate_obstacle_mesh(cfg.n_per_side, "square", cfg.square_half_width)
-        elif name == "circle":
-            meshes[name] = generate_obstacle_mesh(cfg.n_per_side, "circle", cfg.circle_half_width)
-        else:
-            raise ValueError(
-                f"unknown component {name!r}; supported components are "
-                "'empty', 'square' and 'circle'"
-            )
-    return meshes
 
 
 @dataclass

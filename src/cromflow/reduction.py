@@ -12,6 +12,7 @@ interface configuration.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -373,6 +374,24 @@ def load_basis(path) -> PodBasis:
     _check_orthonormal(basis.phi_u, "velocity")
     _check_orthonormal(basis.phi_p, "pressure")
     return basis
+
+
+def check_rows(path, name: str, space, n_u: int, n_p: int) -> None:
+    """Refuse a file whose velocity/pressure row counts are not the component space's."""
+    if (n_u, n_p) != (space.n_u, space.n_p):
+        raise _binio.FormatError(
+            f"{path}: component {name!r} expects {space.n_u} velocity and "
+            f"{space.n_p} pressure rows, found {n_u} and {n_p}"
+        )
+
+
+def basis_checksum(phi_u: np.ndarray) -> str:
+    """SHA-256 of a velocity basis's shape and values, whatever its memory order.
+
+    Files derived from a basis store it, so a basis retrained since is noticed.
+    """
+    a = np.ascontiguousarray(phi_u, dtype="<f8")
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
 
 
 def _check_orthonormal(phi, label):

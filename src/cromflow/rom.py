@@ -1,5 +1,6 @@
-"""Global reduced system: assembly from per-component reduced blocks,
-Newton solve, lifting back to full order, and error evaluation.
+"""Global reduced system: the stored reduced model, assembly from
+per-component reduced blocks, Newton solve, lifting back to full order, and
+error evaluation.
 
 The reduced system is the full-order block system of :mod:`cromflow.fom`
 with every component and interface block replaced by its dense projection;
@@ -13,25 +14,53 @@ controls are inconsistent by the velocity truncation error, and a Galerkin
 solve answers with a velocity component of size inconsistency / singular
 value.  The penalty bounds that response while leaving well-controlled
 pressure directions almost untouched.
+
+Training stores every projected block in one file (:func:`save_model`), so
+the online stage (:func:`load_model`) reads reduced blocks, bases and the
+advection tensors or quadrature rules, and builds no full-order operator.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import _binio
+from . import _binio, eqp, reduction
 from .eqp import eqp_advection_jacobian, eqp_advection_value
+from .femspace import TaylorHoodSpace
 from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton, saddle_lu
-from .geometry import GridConfig
-from .reduction import ReducedComponentOperators, tensor_contract, tensor_jacobian
+from .geometry import GridConfig, build_component_meshes
+from .reduction import (
+    ReducedComponentOperators,
+    ReducedInterfaceBlocks,
+    basis_checksum,
+    check_rows,
+    tensor_contract,
+    tensor_jacobian,
+)
+from .weakforms import BoundaryLoadBuilder
 
 ROM_SOLUTION_MAGIC = b"CROMRSOL2"
+MODEL_MAGIC = b"CROMROM1"
+MODEL_FILE = "reduced_model.bin"
+# the config keys that shape the stored blocks; a model is refused under others
+MODEL_CONFIG_KEYS = (
+    "n_per_side",
+    "components",
+    "square_half_width",
+    "circle_half_width",
+    "reynolds",
+    "basis_size",
+    "pressure_basis_size",
+    "supremizer_size",
+)
 
 TENSORIAL = "tensorial"
 EQP = "eqp"
@@ -226,3 +255,186 @@ def load_rom_solution(path) -> dict:
         path, ROM_SOLUTION_MAGIC,
         {"u_hat": ("f8", ("r_u",)), "p_hat": ("f8", ("r_p",))}, extra=True,
     )
+
+
+# --- the stored reduced model -------------------------------------------------
+
+_LOAD_MAPS = ("dirichlet_u", "dirichlet_p", "neumann_u")
+_BLOCK_KEYS = ("mm", "mn", "nm", "nn")
+
+
+def model_config(cfg) -> dict:
+    """The values of :data:`MODEL_CONFIG_KEYS` in ``cfg``, as JSON reads them back."""
+    return json.loads(json.dumps({key: getattr(cfg, key) for key in MODEL_CONFIG_KEYS}))
+
+
+def _interface_keys(components) -> list:
+    return [(a, b, o) for a in components for b in components for o in ("H", "V")]
+
+
+def _block_name(key, matrix: str, blocks: str) -> str:
+    """Array name of one reduced interface block, e.g. ``empty/circle/H/K/mn``."""
+    return "/".join((*key, matrix, blocks))
+
+
+def save_model(path, cfg, reduced: Mapping, reduced_interfaces: Mapping) -> None:
+    """Write the projected blocks of every component and interface configuration.
+
+    A JSON header holds :func:`model_config` and, per component, its boundary
+    tags and the :func:`~cromflow.reduction.basis_checksum` of the velocity
+    basis the blocks were projected on.  A load map's columns, (point,
+    component) pairs, are stored as two axes, so the quadrature points'
+    count ties it to ``xy``.
+    """
+    config = model_config(cfg)
+    header = {"config": config, "components": {}}
+    arrays = {}
+    for name in config["components"]:
+        red = reduced[name]
+        header["components"][name] = {
+            "tags": list(red.K_di),
+            "phi_u_checksum": basis_checksum(red.basis.phi_u),
+        }
+        for key in ("K", "B", "C", "pressure_mean"):
+            arrays[f"{name}/{key}"] = getattr(red, key)
+        for tag, load in red.loads.items():
+            arrays[f"{name}/{tag}/K_di"] = red.K_di[tag]
+            arrays[f"{name}/{tag}/B_di"] = red.B_di[tag]
+            arrays[f"{name}/{tag}/xy"] = load.xy
+            for key in _LOAD_MAPS:
+                m = getattr(load, key)
+                arrays[f"{name}/{tag}/{key}"] = m.reshape(m.shape[0], m.shape[1] // 2, 2)
+    for key in _interface_keys(config["components"]):
+        blocks = reduced_interfaces[key]
+        for st in _BLOCK_KEYS:
+            arrays[_block_name(key, "K", st)] = blocks.K[st]
+            arrays[_block_name(key, "B", st)] = blocks.B[st]
+    _binio.write_arrays(
+        path, MODEL_MAGIC, {"header": _binio.text_array(json.dumps(header)), **arrays}
+    )
+
+
+def read_model(path):
+    """Read a file of :func:`save_model`: (config, velocity basis checksums,
+    reduced component operators, reduced interface blocks).
+
+    The component operators come without their basis.  Every array's name,
+    dtype and shape is checked against the layout the header describes.
+    """
+    arrays = _binio.read_arrays(path, MODEL_MAGIC, {"header": ("i8", ("header",))}, extra=True)
+    try:
+        header = json.loads(_binio.array_text(arrays["header"]))
+        config, parts = header["config"], header["components"]
+        names = list(config["components"])
+        tags = {name: list(parts[name]["tags"]) for name in names}
+        checksums = {name: str(parts[name]["phi_u_checksum"]) for name in names}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _binio.FormatError(f"{path}: unreadable header: {exc!r}") from exc
+
+    # shape symbols: the velocity and pressure modes of each component, the
+    # quadrature points of each of its boundary tags
+    r_u = {name: f"r_u of {name}" for name in names}
+    r_p = {name: f"r_p of {name}" for name in names}
+    layout = {"header": ("i8", ("header",))}
+    for name in names:
+        u, p = r_u[name], r_p[name]
+        layout[f"{name}/K"] = ("f8", (u, u))
+        layout[f"{name}/B"] = ("f8", (p, u))
+        layout[f"{name}/C"] = ("f8", (p, p))
+        layout[f"{name}/pressure_mean"] = ("f8", (p,))
+        for tag in tags[name]:
+            q = f"points of {name}/{tag}"
+            layout[f"{name}/{tag}/K_di"] = ("f8", (u, u))
+            layout[f"{name}/{tag}/B_di"] = ("f8", (p, u))
+            layout[f"{name}/{tag}/xy"] = ("f8", (q, 2))
+            layout[f"{name}/{tag}/dirichlet_u"] = ("f8", (u, q, 2))
+            layout[f"{name}/{tag}/dirichlet_p"] = ("f8", (p, q, 2))
+            layout[f"{name}/{tag}/neumann_u"] = ("f8", (u, q, 2))
+    for key in _interface_keys(names):
+        side = {"m": key[0], "n": key[1]}
+        for st in _BLOCK_KEYS:
+            rows, cols = side[st[0]], side[st[1]]
+            layout[_block_name(key, "K", st)] = ("f8", (r_u[rows], r_u[cols]))
+            layout[_block_name(key, "B", st)] = ("f8", (r_p[rows], r_u[cols]))
+    _binio.check_arrays(path, arrays, layout)
+
+    def load_builder(prefix):
+        maps = (arrays[f"{prefix}/{key}"] for key in _LOAD_MAPS)
+        return BoundaryLoadBuilder(
+            arrays[f"{prefix}/xy"], *(m.reshape(m.shape[0], 2 * m.shape[1]) for m in maps)
+        )
+
+    reduced = {
+        name: ReducedComponentOperators(
+            component=name,
+            basis=None,
+            K=arrays[f"{name}/K"],
+            B=arrays[f"{name}/B"],
+            C=arrays[f"{name}/C"],
+            K_di={tag: arrays[f"{name}/{tag}/K_di"] for tag in tags[name]},
+            B_di={tag: arrays[f"{name}/{tag}/B_di"] for tag in tags[name]},
+            loads={tag: load_builder(f"{name}/{tag}") for tag in tags[name]},
+            pressure_mean=arrays[f"{name}/pressure_mean"],
+        )
+        for name in names
+    }
+    interfaces = {
+        key: ReducedInterfaceBlocks(
+            K={st: arrays[_block_name(key, "K", st)] for st in _BLOCK_KEYS},
+            B={st: arrays[_block_name(key, "B", st)] for st in _BLOCK_KEYS},
+        )
+        for key in _interface_keys(names)
+    }
+    return config, checksums, reduced, interfaces
+
+
+def load_model(out_dir, cfg, backend: str = TENSORIAL):
+    """The reduced model that ``train`` (and ``train-eqp``) wrote to ``out_dir``.
+
+    Returns (reduced component operators by name, reduced interface blocks),
+    ready for :func:`assemble_global_rom` with ``backend``.  Reads the bases,
+    :data:`MODEL_FILE` and the advection tensors (tensorial) or quadrature
+    rules (EQP); builds meshes and spaces, but no full-order operator.
+
+    Raises :class:`~cromflow._binio.FormatError` when a basis does not fit
+    the meshes of ``cfg``, when the model was trained under other values of
+    :data:`MODEL_CONFIG_KEYS`, or when the model or a rule was derived from
+    another velocity basis than the one stored.
+    """
+    if backend not in (TENSORIAL, EQP):
+        raise ValueError(f"unknown advection backend {backend!r}")
+    out_dir = Path(out_dir)
+    bases = {}
+    for name, mesh in build_component_meshes(cfg).items():
+        path = out_dir / f"basis_{name}.bin"
+        bases[name] = reduction.load_basis(path)
+        check_rows(path, name, TaylorHoodSpace(mesh), bases[name].n_u, bases[name].n_p)
+
+    path = out_dir / MODEL_FILE
+    config, checksums, reduced, interfaces = read_model(path)
+    for key, value in model_config(cfg).items():
+        if config.get(key) != value:
+            raise _binio.FormatError(
+                f"{path}: trained with {key}={config.get(key)!r}, the config has {value!r}"
+            )
+    for name, basis in bases.items():
+        basis_path = out_dir / f"basis_{name}.bin"
+        checksum = basis_checksum(basis.phi_u)
+        if checksums[name] != checksum:
+            raise _binio.FormatError(
+                f"{path} was projected on another velocity basis than {basis_path};"
+                " run train again"
+            )
+        red = reduced[name]
+        red.basis = basis
+        if backend == TENSORIAL:
+            red.tensor = reduction.load_tensor(out_dir / f"tensor_{name}.bin")
+        else:
+            rule_path = out_dir / f"eqp_{name}.bin"
+            red.eqp_rule = eqp.load_rule(rule_path)
+            if red.eqp_rule.phi_u_checksum != checksum:
+                raise _binio.FormatError(
+                    f"{rule_path} was trained on another velocity basis than {basis_path};"
+                    " run train-eqp again"
+                )
+    return reduced, interfaces

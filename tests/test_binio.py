@@ -1,6 +1,6 @@
 """Every artifact reader against damaged files.
 
-Each of the five loaders reads small valid files bit for bit and rejects a
+Each of the six loaders reads small valid files bit for bit and rejects a
 truncated file, any changed byte and any oversized header field with
 :class:`FormatError`, never with an allocation or decoding error.
 """
@@ -16,16 +16,30 @@ from hypothesis import given, settings, strategies as st
 from cromflow._binio import FormatError, read_arrays, write_arrays
 from cromflow.eqp import RULE_MAGIC, EqpRule, load_rule, save_rule
 from cromflow.fom import SOLUTION_MAGIC, load_solution, save_solution
+from cromflow.geometry import TAGS
+from cromflow.harness import ExperimentConfig
 from cromflow.reduction import (
     BASIS_MAGIC,
     TENSOR_MAGIC,
     PodBasis,
+    ReducedComponentOperators,
+    ReducedInterfaceBlocks,
+    basis_checksum,
     load_basis,
     load_tensor,
     save_basis,
     save_tensor,
 )
-from cromflow.rom import ROM_SOLUTION_MAGIC, load_rom_solution, save_rom_solution
+from cromflow.rom import (
+    MODEL_MAGIC,
+    ROM_SOLUTION_MAGIC,
+    load_rom_solution,
+    model_config,
+    read_model,
+    save_model,
+    save_rom_solution,
+)
+from cromflow.weakforms import BoundaryLoadBuilder
 
 FUZZ = settings(max_examples=60, deadline=None)
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])
@@ -51,7 +65,7 @@ def make_basis(rng, name):
 
 
 def make_rule(rng, name):
-    n = int(rng.integers(0, 12))
+    n, r = int(rng.integers(0, 12)), int(rng.integers(1, 5))
     eps = float(rng.random())
     return EqpRule(
         name,
@@ -60,8 +74,43 @@ def make_rule(rng, name):
         rng.random(n) + 0.1,
         eps,
         eps * float(rng.random()),
-        n_basis=0,
+        r,
+        rng.standard_normal((n, r, 2)),
+        rng.standard_normal((n, r, 2, 2)),
+        basis_checksum(rng.standard_normal((5, r))),
     )
+
+
+def make_model(rng, name):
+    """A one-component reduced model: (config, reduced operators, interface blocks)."""
+    r_u, r_p = int(rng.integers(0, 5)), int(rng.integers(0, 4))
+    basis = make_basis(rng, name)
+    loads, K_di, B_di = {}, {}, {}
+    for tag in TAGS[: int(rng.integers(1, len(TAGS) + 1))]:
+        q = int(rng.integers(0, 4))
+        loads[tag] = BoundaryLoadBuilder(
+            rng.random((q, 2)),
+            rng.standard_normal((r_u, 2 * q)),
+            rng.standard_normal((r_p, 2 * q)),
+            rng.standard_normal((r_u, 2 * q)),
+        )
+        K_di[tag] = rng.standard_normal((r_u, r_u))
+        B_di[tag] = rng.standard_normal((r_p, r_u))
+    K = rng.standard_normal((r_u, r_u))
+    K.flat[: SPECIAL.size] = SPECIAL[: K.size]
+    red = ReducedComponentOperators(
+        name, basis, K, rng.standard_normal((r_p, r_u)), rng.standard_normal((r_p, r_p)),
+        K_di, B_di, loads, rng.standard_normal(r_p),
+    )
+    interfaces = {
+        (name, name, o): ReducedInterfaceBlocks(
+            K={st: rng.standard_normal((r_u, r_u)) for st in ("mm", "mn", "nm", "nn")},
+            B={st: rng.standard_normal((r_p, r_u)) for st in ("mm", "mn", "nm", "nn")},
+        )
+        for o in ("H", "V")
+    }
+    cfg = ExperimentConfig(components=(name,), reynolds=float(rng.random()) + 1.0)
+    return cfg, {name: red}, interfaces
 
 
 def make_fields(rng, n_u, n_p, columns):
@@ -94,13 +143,19 @@ ARTIFACTS = {
         lambda obj, path: save_rom_solution(path, *obj),
         load_rom_solution,
     ),
+    "rom_model": (
+        MODEL_MAGIC,
+        make_model,
+        lambda obj, path: save_model(path, *obj),
+        read_model,
+    ),
 }
 KINDS = sorted(ARTIFACTS)
-# the magics of the layouts before the container
+# the magics of the layouts before the current one; the reduced model has none
 OLD_MAGICS = {
     "basis": b"CROMBAS2",
     "tensor": b"CROMTEN1",
-    "rule": b"CROMEQP1",
+    "rule": b"CROMEQP2",
     "solution": b"CROMSOL1",
     "rom_solution": b"CROMRSOL1",
 }
@@ -111,8 +166,34 @@ def _bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def model_fields(obj) -> dict:
+    """A made (config, reduced, interfaces) or read (config, checksums,
+    reduced, interfaces) model, as comparable bit patterns."""
+    if len(obj) == 3:
+        cfg, reduced, interfaces = obj
+        config = model_config(cfg)
+        checksums = {name: basis_checksum(red.basis.phi_u) for name, red in reduced.items()}
+    else:
+        config, checksums, reduced, interfaces = obj
+    out = {"config": config, "checksums": checksums}
+    for name, red in reduced.items():
+        for key in ("K", "B", "C", "pressure_mean"):
+            out[name, key] = _bits(getattr(red, key))
+        for tag, load in red.loads.items():
+            out[name, tag] = tuple(
+                _bits(a)
+                for a in (red.K_di[tag], red.B_di[tag], load.xy,
+                          load.dirichlet_u, load.dirichlet_p, load.neumann_u)
+            )
+    for key, blocks in interfaces.items():
+        out[key] = {st: (_bits(blocks.K[st]), _bits(blocks.B[st])) for st in blocks.K}
+    return out
+
+
 def fields(kind, obj) -> dict:
     """Everything a loader returns, as comparable bit patterns."""
+    if kind == "rom_model":
+        return model_fields(obj)
     if kind == "tensor":
         return {"tensor": _bits(obj)}
     if kind in ("solution", "rom_solution"):
@@ -127,8 +208,9 @@ def fields(kind, obj) -> dict:
         out = {"component": obj.component, "sizes": (obj.R_u, obj.R_p, obj.Z)}
         names = ("phi_u", "phi_p", "sigma_u", "sigma_p", "pressure_penalty")
     else:
-        out = {"component": obj.component}
-        names = ("element_ids", "local_ids", "weights", "eps", "residual")
+        out = {"component": obj.component, "n_basis": obj.n_basis, "checksum": obj.phi_u_checksum}
+        names = ("element_ids", "local_ids", "weights", "eps", "residual",
+                 "basis_values", "basis_grads")
     out.update({name: _bits(getattr(obj, name)) for name in names})
     return out
 
@@ -259,7 +341,7 @@ def test_trailing_bytes_are_rejected(kind, tail, valid, scratch):
         _load(kind, _with_crc(raw[:-4] + tail + bytes(4)), scratch)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", sorted(OLD_MAGICS))
 def test_old_layout_is_rejected_naming_both_magics(kind, valid, scratch):
     magic = ARTIFACTS[kind][0]
     old = OLD_MAGICS[kind]
@@ -287,6 +369,44 @@ def test_duplicate_and_non_utf8_names_are_rejected(valid, scratch):
         _load("solution", _rename(raw, SOLUTION_MAGIC, 1, b"\xff"), scratch)
 
 
+def _stored(kind, valid, scratch) -> dict:
+    scratch.write_bytes(valid[kind][1])
+    return read_arrays(scratch, ARTIFACTS[kind][0], {}, extra=True)
+
+
+@pytest.mark.parametrize("kind", ["rom_model", "rule"])
+@FUZZ
+@given(data=st.data())
+def test_missing_array_is_rejected(kind, data, valid, scratch):
+    arrays = _stored(kind, valid, scratch)
+    del arrays[data.draw(st.sampled_from(sorted(arrays)))]
+    write_arrays(scratch, ARTIFACTS[kind][0], arrays)
+    with pytest.raises(FormatError):
+        ARTIFACTS[kind][3](scratch)
+
+
+@pytest.mark.parametrize("kind", ["rom_model", "rule"])
+@FUZZ
+@given(data=st.data(), grow=st.booleans())
+def test_misshapen_array_is_rejected(kind, data, grow, valid, scratch):
+    # a new leading axis, or one more entry along the first axis, whose size
+    # every array shares with another or with the layout
+    arrays = _stored(kind, valid, scratch)
+    names = sorted(arrays)
+    if grow and kind == "rule":
+        names.remove("component")           # a name of any length is valid
+    name = data.draw(st.sampled_from(names))
+    a = arrays[name]
+    if not grow:
+        arrays[name] = a[None]
+    else:
+        shape = (a.shape[0] + 1,) + a.shape[1:] if a.ndim else (2,)
+        arrays[name] = np.zeros(shape, a.dtype)
+    write_arrays(scratch, ARTIFACTS[kind][0], arrays)
+    with pytest.raises(FormatError):
+        ARTIFACTS[kind][3](scratch)
+
+
 @pytest.mark.parametrize(
     "change,match",
     [
@@ -309,6 +429,9 @@ def test_rule_arrays_are_checked_by_name_dtype_and_shape(change, match, scratch)
         "weights": np.ones(2),
         "eps": 0.1,
         "residual": 0.01,
+        "basis_values": np.zeros((2, 3, 2)),
+        "basis_grads": np.zeros((2, 3, 2, 2)),
+        "phi_u_checksum": np.full(64, 0x30),
     }
     arrays.update(change)
     write_arrays(scratch, RULE_MAGIC, {k: v for k, v in arrays.items() if v is not None})

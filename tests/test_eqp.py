@@ -17,7 +17,7 @@ from cromflow.eqp import (
 )
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.geometry import generate_empty_mesh
-from cromflow.reduction import SnapshotSet, build_advection_tensor, tensor_contract
+from cromflow.reduction import SnapshotSet, basis_checksum, build_advection_tensor, tensor_contract
 from cromflow.weakforms import build_component_operators
 
 NU = 0.04
@@ -280,8 +280,9 @@ class TestRuleFile:
         assert np.array_equal(loaded.weights, rule.weights)
         assert loaded.eps == rule.eps
         assert loaded.residual == rule.residual
-        # reattach cached basis data and reproduce the evaluation
-        attach_basis_data(loaded, ops, phi)
+        assert loaded.n_basis == rule.n_basis == 6
+        assert loaded.phi_u_checksum == basis_checksum(phi)
+        # the stored basis data reproduces the evaluation, no operators needed
         uh = np.random.default_rng(5).standard_normal(6)
         assert np.array_equal(
             eqp_advection_value(loaded, uh), eqp_advection_value(rule, uh)

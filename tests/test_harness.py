@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -389,3 +390,95 @@ class TestCli:
         for command in (["train-eqp"], ["predict-rom", "--grid-size", "2"]):
             with pytest.raises(FormatError, match=expected):
                 main(command + ["--config", str(paths[8]), "--out-dir", str(out)])
+
+
+@pytest.fixture(scope="module")
+def tiny_artifacts(tmp_path_factory):
+    """``train`` and ``train-eqp`` output at the tiny CLI config, once per module."""
+    from cromflow.cli import main
+
+    root = tmp_path_factory.mktemp("tiny_artifacts")
+    cfg_path = tiny_cli_config(root)
+    out = root / "out"
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert main(["train-eqp", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    return out
+
+
+class TestStoredModel:
+    """``predict-rom`` reads the stored reduced model and refuses a stale one."""
+
+    @staticmethod
+    def copy(tiny_artifacts, tmp_path, name="out"):
+        """A copy of the tiny artifacts and the arguments naming it."""
+        out = tmp_path / name
+        shutil.copytree(tiny_artifacts, out)
+        return out, ["--config", str(tiny_cli_config(tmp_path)), "--out-dir", str(out)]
+
+    def test_predict_rom_builds_no_full_order_operator(self, tiny_artifacts, tmp_path, monkeypatch):
+        from cromflow import cli, harness, reduction, weakforms
+        from cromflow.rom import load_rom_solution
+
+        out, common = self.copy(tiny_artifacts, tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("predict-rom built or projected full-order operators")
+
+        monkeypatch.setattr(harness, "build_component_set", forbidden)
+        monkeypatch.setattr(weakforms, "build_component_operators", forbidden)
+        monkeypatch.setattr(reduction, "project_linear", forbidden)
+        for backend in ("tensorial", "eqp"):
+            argv = ["predict-rom", *common, "--grid-size", "2", "--backend", backend]
+            assert cli.main(argv) == 0
+            u_hat = load_rom_solution(out / "rom_solution.bin")["u_hat"]
+            assert np.isfinite(u_hat).all() and u_hat.any()
+
+    def test_vtk_export_writes_the_lifted_field(self, tiny_artifacts, tmp_path):
+        from cromflow.cli import main
+
+        out, common = self.copy(tiny_artifacts, tmp_path)
+        argv = ["predict-rom", *common, "--grid-size", "2", "--backend", "tensorial", "--vtk"]
+        assert main(argv) == 0
+        text = (out / "rom_solution.vtk").read_text()
+        assert text.startswith("# vtk DataFile") and "POINT_DATA" in text
+
+    def test_model_trained_under_another_config_rejected(self, tiny_artifacts, tmp_path):
+        from cromflow._binio import FormatError
+        from cromflow.cli import main
+
+        out, _ = self.copy(tiny_artifacts, tmp_path)
+        cfg_path = tiny_cli_config(tmp_path)
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "reynolds": 30.0}))
+        argv = ["predict-rom", "--config", str(cfg_path), "--out-dir", str(out), "--grid-size", "2"]
+        with pytest.raises(
+            FormatError,
+            match=r"reduced_model\.bin: trained with reynolds=25\.0, the config has 30\.0",
+        ):
+            main(argv)
+
+    def test_artifacts_of_a_replaced_basis_rejected(self, tiny_artifacts, tmp_path):
+        from cromflow._binio import FormatError
+        from cromflow.cli import main
+
+        out, common = self.copy(tiny_artifacts, tmp_path)
+        # train reuses stored snapshots, so new ones come first
+        assert main(["sample", *common, "--seed", "4"]) == 0
+        assert main(["train", *common, "--seed", "4"]) == 0
+        predict = ["predict-rom", *common, "--grid-size", "2"]
+        assert main(predict + ["--backend", "tensorial"]) == 0
+        with pytest.raises(
+            FormatError,
+            match=r"eqp_empty\.bin was trained on another velocity basis than "
+            r".*basis_empty\.bin; run train-eqp again",
+        ):
+            main(predict + ["--backend", "eqp"])
+
+        # the old model under the new basis of one component
+        old, common = self.copy(tiny_artifacts, tmp_path, "old")
+        shutil.copy(out / "basis_square.bin", old / "basis_square.bin")
+        with pytest.raises(
+            FormatError,
+            match=r"reduced_model\.bin was projected on another velocity basis than "
+            r".*basis_square\.bin; run train again",
+        ):
+            main(["predict-rom", *common, "--grid-size", "2"])
