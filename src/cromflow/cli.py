@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import fom, geometry, harness, reduction, rom
+from . import _binio, fom, geometry, harness, reduction, rom
 from .eqp import save_rule
 from .reduction import check_rows, load_basis, save_basis, save_tensor
 
@@ -31,23 +32,40 @@ def _load_config(args) -> harness.ExperimentConfig:
     return cfg
 
 
+# the config keys that shape the snapshot draws and solves; snapshots are
+# refused under others
+SNAPSHOT_CONFIG_KEYS = (
+    "n_per_side", "components", "square_half_width", "circle_half_width", "reynolds",
+    "train_samples", "train_rows", "train_cols", "seed", "newton_tol", "newton_max_iter",
+)
+
+
 def _snapshot_path(out_dir: Path, name: str) -> Path:
     return out_dir / f"snapshots_{name}.bin"
 
 
-def _save_snapshots(out_dir: Path, snapshots):
+def _save_snapshots(out_dir: Path, cfg, snapshots):
+    config = _binio.text_array(json.dumps(rom.model_config(cfg, SNAPSHOT_CONFIG_KEYS)))
     for name, snap in snapshots.items():
-        fom.save_solution(_snapshot_path(out_dir, name), snap.U, snap.P)
+        fom.save_solution(_snapshot_path(out_dir, name), snap.U, snap.P, {"config": config})
 
 
 def _load_snapshots(out_dir: Path, cfg, parts) -> dict:
-    """Snapshot file of each component, its row counts checked against the component's space."""
+    """Snapshot file of each component, its row counts checked against the
+    component's space and its stored config against ``cfg``."""
     sets = {}
     for name in cfg.components:
         path = _snapshot_path(out_dir, name)
         data = fom.load_solution(path)
         u, p = data["u"], data["p"]
         check_rows(path, name, parts.spaces[name], u.shape[0], p.shape[0])
+        try:
+            stored = dict(json.loads(_binio.array_text(data["config"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _binio.FormatError(
+                f"{path}: no readable config ({exc!r}); run sample again"
+            ) from exc
+        rom.check_config(path, stored, cfg, SNAPSHOT_CONFIG_KEYS)
         sets[name] = reduction.SnapshotSet(name, u, p)
     return sets
 
@@ -77,7 +95,7 @@ def cmd_sample(args):
     args.out_dir.mkdir(parents=True, exist_ok=True)
     parts = harness.build_component_set(cfg)
     snapshots, skipped = harness.generate_snapshots(cfg, parts)
-    _save_snapshots(args.out_dir, snapshots)
+    _save_snapshots(args.out_dir, cfg, snapshots)
     counts = {name: snap.count for name, snap in snapshots.items()}
     print(f"snapshots per component: {counts} ({skipped} samples skipped)")
 
@@ -90,7 +108,7 @@ def cmd_train(args):
     if _snapshot_path(args.out_dir, cfg.components[0]).exists():
         snapshots = _load_snapshots(args.out_dir, cfg, parts)
     model = harness.train_model(cfg, parts=parts, snapshots=snapshots, with_eqp=False)
-    _save_snapshots(args.out_dir, model.snapshots)
+    _save_snapshots(args.out_dir, cfg, model.snapshots)
     for name in cfg.components:
         save_basis(model.bases[name], args.out_dir / f"basis_{name}.bin")
         save_tensor(model.reduced[name].tensor, args.out_dir / f"tensor_{name}.bin")
@@ -111,31 +129,25 @@ def cmd_train_eqp(args):
         print(f"{name}: {rule.n_points} points, residual {rule.residual:.3e} (eps {eps:.3e})")
 
 
-def _grid_from_args(args, cfg, rng):
+def _grid_from_args(args, cfg):
+    """The random array of ``--grid-size`` drawn from the config seed."""
+    rng = np.random.default_rng(cfg.seed)
     L = args.grid_size
     cells = harness.random_cells(rng, L, L, cfg.components)
     sample = harness.sample_inflow(rng)
-    if args.inflow:
-        g1, g2 = (float(v) for v in args.inflow.split(","))
-        sample.g1, sample.g2 = g1, g2
-        sample.dg1 = sample.dg2 = 0.0
-    grid = geometry.GridConfig(
-        L, L, cells, cfg.viscosity, harness.bc_from_sample(sample)
-    )
-    return grid, sample
+    return geometry.GridConfig(L, L, cells, cfg.viscosity, harness.bc_from_sample(sample))
 
 
 def cmd_predict_fom(args):
     cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     parts = harness.build_component_set(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    grid, sample = _grid_from_args(args, cfg, rng)
+    grid = _grid_from_args(args, cfg)
     system = fom.assemble_global(grid, parts.operators, parts.interface_blocks)
     u, p, report = fom.solve_newton(system, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     fom.save_solution(args.out_dir / "fom_solution.bin", u, p)
     if args.vtk:
-        fom.export_vtk(args.out_dir / "fom_solution.vtk", system, u, p)
+        fom.export_vtk(args.out_dir / "fom_solution.vtk", grid, parts.spaces, u, p)
     print(
         f"{args.grid_size}x{args.grid_size} FOM: converged={report.converged} "
         f"iterations={report.newton_iterations} dofs={system.n_dof} "
@@ -147,19 +159,16 @@ def cmd_predict_rom(args):
     cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     reduced, riface = rom.load_model(args.out_dir, cfg, args.backend)
-    rng = np.random.default_rng(cfg.seed)
-    grid, sample = _grid_from_args(args, cfg, rng)
+    grid = _grid_from_args(args, cfg)
     system = rom.assemble_global_rom(grid, reduced, riface, args.backend)
     uh, ph, report = rom.solve_rom_newton(
         system, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter
     )
     rom.save_rom_solution(args.out_dir / "rom_solution.bin", uh, ph)
     if args.vtk:
-        # the field file is laid out on the full-order system
-        parts = harness.build_component_set(cfg)
         lifted = rom.lift(system, uh, ph)
-        fom_sys = fom.assemble_global(grid, parts.operators, parts.interface_blocks)
-        fom.export_vtk(args.out_dir / "rom_solution.vtk", fom_sys, lifted.u, lifted.p)
+        spaces = harness.build_component_spaces(cfg)
+        fom.export_vtk(args.out_dir / "rom_solution.vtk", grid, spaces, lifted.u, lifted.p)
     print(
         f"{args.grid_size}x{args.grid_size} ROM ({args.backend}): "
         f"converged={report.converged} iterations={report.newton_iterations} "
@@ -213,14 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict-fom", help="solve one random array full-order")
     _add_common(p)
     p.add_argument("--grid-size", type=int, default=4)
-    p.add_argument("--inflow", help="mean inflow as 'g1,g2' (overrides the random draw)")
     p.add_argument("--vtk", action="store_true", help="also write a VTK field file")
     p.set_defaults(func=cmd_predict_fom)
 
     p = sub.add_parser("predict-rom", help="solve one random array reduced-order")
     _add_common(p)
     p.add_argument("--grid-size", type=int, default=4)
-    p.add_argument("--inflow", help="mean inflow as 'g1,g2' (overrides the random draw)")
     p.add_argument("--backend", choices=(rom.TENSORIAL, rom.EQP), default=rom.TENSORIAL)
     p.add_argument("--vtk", action="store_true")
     p.set_defaults(func=cmd_predict_rom)

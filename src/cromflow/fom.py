@@ -131,11 +131,12 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
 
     ``local`` maps component names to :class:`ComponentOperators` or their
     reduced projections; either carries ``K``, ``B``, ``C`` (empty at full
-    order), ``K_di``/``B_di`` and ``loads`` by boundary tag,
-    ``pressure_mean`` and ``forcing_load``.  ``interface_blocks`` maps
-    (ref_m, ref_n, orientation) to blocks keyed "mm".."nn"; a missing needed
-    configuration is an error.  Returns ``cls`` built from the assembled
-    fields plus ``fields``.
+    order), ``K_di``/``B_di`` and ``loads`` by boundary tag and
+    ``pressure_mean``.  A grid with a body force also needs
+    ``forcing_load``, which only the full-order operators have.
+    ``interface_blocks`` maps (ref_m, ref_n, orientation) to blocks keyed
+    "mm".."nn"; a missing needed configuration is an error.  Returns
+    ``cls`` built from the assembled fields plus ``fields``.
     """
     grid.validate_components(local)
     M = grid.n_subdomains
@@ -438,40 +439,35 @@ def load_solution(path) -> dict:
     return data
 
 
-def export_vtk(path, system: GlobalFomSystem, u: np.ndarray, p: np.ndarray):
-    """Legacy ASCII VTK grid of triangles; velocity sampled at mesh vertices."""
+def export_vtk(path, grid: GridConfig, spaces: Mapping, u: np.ndarray, p: np.ndarray):
+    """Legacy ASCII VTK grid of triangles; velocity sampled at mesh vertices.
+
+    ``u`` and ``p`` are laid out subdomain by subdomain on the component
+    ``spaces``, as both solvers (the reduced one after lifting) lay them out.
+    """
     pts, cells, vel, pres = [], [], [], []
-    base = 0
-    for m in range(system.grid.n_subdomains):
-        space = system.ops_of(m).space
-        mesh = space.mesh
-        origin = system.grid.cell_origin(m)
-        pts.append(mesh.vertices + origin)
+    base = off_u = off_p = 0
+    for m in range(grid.n_subdomains):
+        space = spaces[grid.component_name(m)]
+        mesh, n_v, n_s = space.mesh, space.mesh.n_vertices, space.n_scalar
+        pts.append(mesh.vertices + grid.cell_origin(m))
         cells.append(mesh.triangles + base)
-        um = u[system.slice_u(m)]
-        n_v = mesh.n_vertices
-        vel.append(np.column_stack([um[:n_v], um[space.n_scalar : space.n_scalar + n_v]]))
-        pres.append(p[system.slice_p(m)])
-        base += n_v
-    pts = np.vstack(pts)
-    cells = np.vstack(cells)
-    vel = np.vstack(vel)
-    pres = np.concatenate(pres)
+        um = u[off_u : off_u + space.n_u]
+        vel.append(np.column_stack([um[:n_v], um[n_s : n_s + n_v]]))
+        pres.append(p[off_p : off_p + space.n_p])
+        base, off_u, off_p = base + n_v, off_u + space.n_u, off_p + space.n_p
+    pts, cells = np.vstack(pts), np.vstack(cells)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# vtk DataFile Version 3.0\ncromflow solution\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        for x, y in pts:
-            fh.write(f"{x:.12g} {y:.12g} 0\n")
+        np.savetxt(fh, pts, fmt="%.12g %.12g 0")
         fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
-        for i, j, k in cells:
-            fh.write(f"3 {i} {j} {k}\n")
+        np.savetxt(fh, cells, fmt="3 %d %d %d")
         fh.write(f"CELL_TYPES {len(cells)}\n")
         fh.write("\n".join(["5"] * len(cells)) + "\n")
         fh.write(f"POINT_DATA {len(pts)}\n")
         fh.write("VECTORS velocity double\n")
-        for vx, vy in vel:
-            fh.write(f"{vx:.12g} {vy:.12g} 0\n")
+        np.savetxt(fh, np.vstack(vel), fmt="%.12g %.12g 0")
         fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        for q in pres:
-            fh.write(f"{q:.12g}\n")
+        np.savetxt(fh, np.concatenate(pres), fmt="%.12g")

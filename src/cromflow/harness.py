@@ -177,18 +177,21 @@ class ExperimentConfig:
 
 @dataclass
 class ComponentSet:
-    """Meshes, spaces and assembled operators of the component pool."""
+    """Spaces (on their meshes) and assembled operators of the component pool."""
 
     cfg: ExperimentConfig
-    meshes: dict
     spaces: dict
     operators: dict
     interface_blocks: dict
 
 
+def build_component_spaces(cfg: ExperimentConfig) -> dict:
+    """Taylor-Hood space of each component of the pool, on its mesh."""
+    return {name: TaylorHoodSpace(mesh) for name, mesh in build_component_meshes(cfg).items()}
+
+
 def build_component_set(cfg: ExperimentConfig) -> ComponentSet:
-    meshes = build_component_meshes(cfg)
-    spaces = {name: TaylorHoodSpace(mesh) for name, mesh in meshes.items()}
+    spaces = build_component_spaces(cfg)
     nu = cfg.viscosity
     operators = {name: build_component_operators(space, nu) for name, space in spaces.items()}
     blocks = {
@@ -197,7 +200,7 @@ def build_component_set(cfg: ExperimentConfig) -> ComponentSet:
         for b in spaces
         for o in ("H", "V")
     }
-    return ComponentSet(cfg, meshes, spaces, operators, blocks)
+    return ComponentSet(cfg, spaces, operators, blocks)
 
 
 def random_cells(rng: np.random.Generator, rows: int, cols: int, pool) -> list:
@@ -263,13 +266,6 @@ class TrainedModel:
     reduced: dict
     reduced_interfaces: dict
     eqp_tols: dict = field(default_factory=dict)
-
-    def rom_dimension(self, grid: GridConfig) -> int:
-        dims = 0
-        for m in range(grid.n_subdomains):
-            red = self.reduced[grid.component_name(m)]
-            dims += red.r_u + red.r_p
-        return dims
 
 
 def train_bases(cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict) -> dict:

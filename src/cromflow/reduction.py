@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -208,7 +208,6 @@ class ReducedComponentOperators:
     pressure_mean: np.ndarray
     tensor: Optional[np.ndarray] = None
     eqp_rule: object = None
-    ops: ComponentOperators = field(repr=False, default=None)
 
     @property
     def r_u(self) -> int:
@@ -217,12 +216,6 @@ class ReducedComponentOperators:
     @property
     def r_p(self) -> int:
         return self.B.shape[0]
-
-    def forcing_load(self, f, origin=np.zeros(2)) -> np.ndarray:
-        """Projected body-force load; needs the full-order component operators."""
-        if self.ops is None:
-            raise ValueError("component operators unavailable for forcing projection")
-        return self.basis.phi_u.T @ self.ops.forcing_load(f, origin)
 
 
 @dataclass
@@ -251,7 +244,6 @@ def project_component(ops: ComponentOperators, basis: PodBasis) -> ReducedCompon
         B_di=B_di,
         loads=loads,
         pressure_mean=pp.T @ ops.pressure_mean,
-        ops=ops,
     )
 
 

@@ -17,7 +17,8 @@ pressure directions almost untouched.
 
 Training stores every projected block in one file (:func:`save_model`), so
 the online stage (:func:`load_model`) reads reduced blocks, bases and the
-advection tensors or quadrature rules, and builds no full-order operator.
+advection tensors or quadrature rules, and builds no mesh, space or
+full-order operator.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ import scipy.sparse as sp
 
 from . import _binio, eqp, reduction
 from .eqp import eqp_advection_jacobian, eqp_advection_value
-from .femspace import TaylorHoodSpace
 from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton, saddle_lu
-from .geometry import GridConfig, build_component_meshes
+from .geometry import GridConfig
 from .reduction import (
     ReducedComponentOperators,
     ReducedInterfaceBlocks,
     basis_checksum,
-    check_rows,
     tensor_contract,
     tensor_jacobian,
 )
@@ -136,10 +135,15 @@ def assemble_global_rom(
     """Reduced global system from the projected component blocks.
 
     ``reduced_interfaces`` maps (ref_m, ref_n, orientation) to
-    :class:`ReducedInterfaceBlocks`.
+    :class:`ReducedInterfaceBlocks`.  A grid with a body force is refused:
+    the reduced blocks hold boundary loads only.
     """
     if backend not in (TENSORIAL, EQP):
         raise ValueError(f"unknown advection backend {backend!r}")
+    if grid.forcing is not None:
+        raise ValueError(
+            "the reduced model has no body-force load; solve a forced grid at full order"
+        )
     t0 = time.perf_counter()
     grid.validate_components(reduced)
     names = [grid.component_name(m) for m in range(grid.n_subdomains)]
@@ -263,9 +267,19 @@ _LOAD_MAPS = ("dirichlet_u", "dirichlet_p", "neumann_u")
 _BLOCK_KEYS = ("mm", "mn", "nm", "nn")
 
 
-def model_config(cfg) -> dict:
-    """The values of :data:`MODEL_CONFIG_KEYS` in ``cfg``, as JSON reads them back."""
-    return json.loads(json.dumps({key: getattr(cfg, key) for key in MODEL_CONFIG_KEYS}))
+def model_config(cfg, keys=MODEL_CONFIG_KEYS) -> dict:
+    """The values of ``keys`` in ``cfg``, as JSON reads them back."""
+    return json.loads(json.dumps({key: getattr(cfg, key) for key in keys}))
+
+
+def check_config(path, stored: Mapping, cfg, keys=MODEL_CONFIG_KEYS) -> None:
+    """Refuse a file written under other values of ``keys`` than ``cfg`` has,
+    naming the file and the first key that differs."""
+    for key, value in model_config(cfg, keys).items():
+        if stored.get(key) != value:
+            raise _binio.FormatError(
+                f"{path}: trained with {key}={stored.get(key)!r}, the config has {value!r}"
+            )
 
 
 def _interface_keys(components) -> list:
@@ -392,41 +406,31 @@ def load_model(out_dir, cfg, backend: str = TENSORIAL):
     """The reduced model that ``train`` (and ``train-eqp``) wrote to ``out_dir``.
 
     Returns (reduced component operators by name, reduced interface blocks),
-    ready for :func:`assemble_global_rom` with ``backend``.  Reads the bases,
-    :data:`MODEL_FILE` and the advection tensors (tensorial) or quadrature
-    rules (EQP); builds meshes and spaces, but no full-order operator.
+    ready for :func:`assemble_global_rom` with ``backend``.  Reads
+    :data:`MODEL_FILE`, the bases and the advection tensors (tensorial) or
+    quadrature rules (EQP); builds no mesh, space or full-order operator.
 
-    Raises :class:`~cromflow._binio.FormatError` when a basis does not fit
-    the meshes of ``cfg``, when the model was trained under other values of
-    :data:`MODEL_CONFIG_KEYS`, or when the model or a rule was derived from
-    another velocity basis than the one stored.
+    Raises :class:`~cromflow._binio.FormatError` when the model was trained
+    under other values of :data:`MODEL_CONFIG_KEYS` than ``cfg`` has, or
+    when the model or a rule was derived from another velocity basis than
+    the one stored.  The meshes depend on config keys alone, so the
+    checksums also tie each basis to the meshes of ``cfg``.
     """
     if backend not in (TENSORIAL, EQP):
         raise ValueError(f"unknown advection backend {backend!r}")
     out_dir = Path(out_dir)
-    bases = {}
-    for name, mesh in build_component_meshes(cfg).items():
-        path = out_dir / f"basis_{name}.bin"
-        bases[name] = reduction.load_basis(path)
-        check_rows(path, name, TaylorHoodSpace(mesh), bases[name].n_u, bases[name].n_p)
-
     path = out_dir / MODEL_FILE
     config, checksums, reduced, interfaces = read_model(path)
-    for key, value in model_config(cfg).items():
-        if config.get(key) != value:
-            raise _binio.FormatError(
-                f"{path}: trained with {key}={config.get(key)!r}, the config has {value!r}"
-            )
-    for name, basis in bases.items():
+    check_config(path, config, cfg)
+    for name, red in reduced.items():
         basis_path = out_dir / f"basis_{name}.bin"
-        checksum = basis_checksum(basis.phi_u)
+        red.basis = reduction.load_basis(basis_path)
+        checksum = basis_checksum(red.basis.phi_u)
         if checksums[name] != checksum:
             raise _binio.FormatError(
                 f"{path} was projected on another velocity basis than {basis_path};"
                 " run train again"
             )
-        red = reduced[name]
-        red.basis = basis
         if backend == TENSORIAL:
             red.tensor = reduction.load_tensor(out_dir / f"tensor_{name}.bin")
         else:

@@ -400,7 +400,7 @@ class TestIo:
         system = assemble_global(channel_grid(2, 1), ops, blocks)
         u, p = solve_stokes(system)
         path = tmp_path / "sol.vtk"
-        export_vtk(path, system, u, p)
+        export_vtk(path, system.grid, {"empty": space}, u, p)
         text = path.read_text()
         assert "UNSTRUCTURED_GRID" in text
         assert "VECTORS velocity" in text

@@ -383,13 +383,38 @@ class TestCli:
         assert main(["train", "--config", str(paths[4]), "--out-dir", str(out)]) == 0
         coarse = TaylorHoodSpace(generate_empty_mesh(4))
         fine = TaylorHoodSpace(generate_empty_mesh(8))
+        common = ["--config", str(paths[8]), "--out-dir", str(out)]
         expected = (
             rf"basis_empty\.bin: component 'empty' expects {fine.n_u} velocity and "
             rf"{fine.n_p} pressure rows, found {coarse.n_u} and {coarse.n_p}"
         )
-        for command in (["train-eqp"], ["predict-rom", "--grid-size", "2"]):
-            with pytest.raises(FormatError, match=expected):
-                main(command + ["--config", str(paths[8]), "--out-dir", str(out)])
+        with pytest.raises(FormatError, match=expected):
+            main(["train-eqp", *common])
+        # predict-rom builds no space: the stored config names the mesh size
+        with pytest.raises(
+            FormatError,
+            match=r"reduced_model\.bin: trained with n_per_side=4, the config has 8",
+        ):
+            main(["predict-rom", *common, "--grid-size", "2"])
+
+    def test_snapshots_of_another_seed_rejected(self, tmp_path):
+        from cromflow.cli import main
+        from cromflow._binio import FormatError
+
+        from cromflow.fom import load_solution, save_solution
+
+        out = tmp_path / "out"
+        common = ["--config", str(tiny_cli_config(tmp_path)), "--out-dir", str(out)]
+        assert main(["sample", *common]) == 0
+        with pytest.raises(
+            FormatError, match=r"snapshots_empty\.bin: trained with seed=3, the config has 4"
+        ):
+            main(["train", *common, "--seed", "4"])
+        # a snapshot file that records no config
+        data = load_solution(out / "snapshots_empty.bin")
+        save_solution(out / "snapshots_empty.bin", data["u"], data["p"])
+        with pytest.raises(FormatError, match=r"snapshots_empty\.bin: no readable config"):
+            main(["train", *common])
 
 
 @pytest.fixture(scope="module")
@@ -416,7 +441,7 @@ class TestStoredModel:
         return out, ["--config", str(tiny_cli_config(tmp_path)), "--out-dir", str(out)]
 
     def test_predict_rom_builds_no_full_order_operator(self, tiny_artifacts, tmp_path, monkeypatch):
-        from cromflow import cli, harness, reduction, weakforms
+        from cromflow import cli, geometry, harness, reduction, weakforms
         from cromflow.rom import load_rom_solution
 
         out, common = self.copy(tiny_artifacts, tmp_path)
@@ -427,18 +452,28 @@ class TestStoredModel:
         monkeypatch.setattr(harness, "build_component_set", forbidden)
         monkeypatch.setattr(weakforms, "build_component_operators", forbidden)
         monkeypatch.setattr(reduction, "project_linear", forbidden)
+        # nor any mesh (and so no space) without --vtk
+        monkeypatch.setattr(geometry, "generate_empty_mesh", forbidden)
+        monkeypatch.setattr(geometry, "generate_obstacle_mesh", forbidden)
         for backend in ("tensorial", "eqp"):
             argv = ["predict-rom", *common, "--grid-size", "2", "--backend", backend]
             assert cli.main(argv) == 0
             u_hat = load_rom_solution(out / "rom_solution.bin")["u_hat"]
             assert np.isfinite(u_hat).all() and u_hat.any()
 
-    def test_vtk_export_writes_the_lifted_field(self, tiny_artifacts, tmp_path):
-        from cromflow.cli import main
+    def test_vtk_export_writes_the_lifted_field(self, tiny_artifacts, tmp_path, monkeypatch):
+        from cromflow import cli, fom, harness, weakforms
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("predict-rom --vtk built full-order operators")
+
+        # the field file needs the component spaces only
+        monkeypatch.setattr(harness, "build_component_set", forbidden)
+        monkeypatch.setattr(weakforms, "build_component_operators", forbidden)
+        monkeypatch.setattr(fom, "assemble_global", forbidden)
         out, common = self.copy(tiny_artifacts, tmp_path)
         argv = ["predict-rom", *common, "--grid-size", "2", "--backend", "tensorial", "--vtk"]
-        assert main(argv) == 0
+        assert cli.main(argv) == 0
         text = (out / "rom_solution.vtk").read_text()
         assert text.startswith("# vtk DataFile") and "POINT_DATA" in text
 

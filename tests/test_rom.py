@@ -191,6 +191,16 @@ class TestAssembly:
         with pytest.raises(ValueError, match="'empty'.*basis of 4 velocity modes"):
             assemble_global_rom(grid, reduced, riface, "eqp")
 
+    def test_body_force_refused(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 5, 2)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        forcing = lambda xy: np.ones((len(xy), 2))
+        grid = GridConfig(1, 1, [["empty"]], NU, channel_bc(), forcing)
+        with pytest.raises(ValueError, match="reduced model has no body-force load"):
+            assemble_global_rom(grid, reduced, riface, "tensorial")
+
 
 class TestStackedAdvection:
     @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
