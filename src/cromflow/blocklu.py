@@ -1,0 +1,166 @@
+"""Dense block LU of a matrix made of blocks over the cells of a grid.
+
+The reduced saddle system couples each cell only to itself and to the cells
+it shares a side with, and every coupling is a dense block.  Eliminating the
+cells in nested-dissection order keeps the fill within the separators: a
+rectangle of cells splits along its longer side, the separator is one line
+of cells, and leaves hold at most two cells.  Each leaf or separator is one
+pivot group with one dense LU; its Schur complement onto the later cells it
+touches (its front) is one matrix product, scattered back as cell blocks.
+This is static condensation (Huynh, Knezevic & Patera, M2AN 47, 2013)
+applied level by level.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+# a rectangle of at most this many cells is one pivot group
+_LEAF_CELLS = 2
+
+
+@dataclass
+class CellBlockMatrix:
+    """Square matrix stored as dense blocks between nodes.
+
+    Node ``i`` owns the rows and columns ``nodes[i]`` of the global vector;
+    the nodes partition it.  ``blocks[i, j]`` couples node ``i``'s rows to
+    node ``j``'s columns; a missing pair is zero.  The pattern is
+    structurally symmetric: ``(i, j)`` is stored exactly when ``(j, i)`` is.
+    """
+
+    nodes: list
+    blocks: dict
+
+    @property
+    def shape(self):
+        n = sum(len(rows) for rows in self.nodes)
+        return n, n
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        xs = [x[rows] for rows in self.nodes]
+        ys = [np.zeros(len(rows)) for rows in self.nodes]
+        for (i, j), blk in self.blocks.items():
+            ys[i] += blk @ xs[j]
+        y = np.empty(self.shape[0])
+        for rows, yi in zip(self.nodes, ys):
+            y[rows] = yi
+        return y
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        for (i, j), blk in self.blocks.items():
+            out[np.ix_(self.nodes[i], self.nodes[j])] = blk
+        return out
+
+
+def nested_dissection(rows: int, cols: int) -> list:
+    """Pivot groups of the cells of a ``rows`` x ``cols`` grid, in elimination order.
+
+    Cell ``row * cols + col``.  Both halves of a rectangle come before its
+    separator, so every group's later neighbours lie on enclosing separators.
+    """
+
+    def dissect(r0, r1, c0, c1):
+        if (r1 - r0) * (c1 - c0) <= _LEAF_CELLS:
+            return [[r * cols + c for r in range(r0, r1) for c in range(c0, c1)]]
+        if c1 - c0 >= r1 - r0:
+            mid = (c0 + c1) // 2
+            halves = [(r0, r1, c0, mid), (r0, r1, mid + 1, c1)]
+            separator = [r * cols + mid for r in range(r0, r1)]
+        else:
+            mid = (r0 + r1) // 2
+            halves = [(r0, mid, c0, c1), (mid + 1, r1, c0, c1)]
+            separator = [mid * cols + c for c in range(c0, c1)]
+        groups = []
+        for r_lo, r_hi, c_lo, c_hi in halves:
+            if r_hi > r_lo and c_hi > c_lo:
+                groups += dissect(r_lo, r_hi, c_lo, c_hi)
+        return groups + [separator]
+
+    return dissect(0, rows, 0, cols)
+
+
+def _starts(nodes, sizes) -> np.ndarray:
+    return np.cumsum([0, *(sizes[i] for i in nodes)])
+
+
+def _gather(blocks: dict, row_nodes, col_nodes, sizes) -> np.ndarray:
+    """The dense submatrix of ``row_nodes`` x ``col_nodes``; gathered blocks
+    are removed from ``blocks``."""
+    r_off = _starts(row_nodes, sizes)
+    c_off = _starts(col_nodes, sizes)
+    out = np.zeros((r_off[-1], c_off[-1]))
+    for a, i in enumerate(row_nodes):
+        for b, j in enumerate(col_nodes):
+            blk = blocks.pop((i, j), None)
+            if blk is not None:
+                out[r_off[a] : r_off[a + 1], c_off[b] : c_off[b + 1]] = blk
+    return out
+
+
+class BlockLU:
+    """LU factorization of a :class:`CellBlockMatrix` by pivot groups.
+
+    ``groups`` lists the nodes of each pivot group in elimination order and
+    covers every node once.  Pivoting is partial within each group.  An
+    exactly singular pivot block raises ``RuntimeError``.
+    """
+
+    def __init__(self, mat: CellBlockMatrix, groups):
+        sizes = [len(rows) for rows in mat.nodes]
+        blocks = dict(mat.blocks)  # remaining blocks; the matrix is not modified
+        adjacent = {}
+        for i, j in blocks:
+            adjacent.setdefault(i, set()).add(j)
+        self._steps = []
+        with warnings.catch_warnings():
+            # an exactly zero pivot is detected below, not warned about
+            warnings.simplefilter("ignore", LinAlgWarning)
+            for group in groups:
+                members = set(group)
+                front = sorted(set().union(*(adjacent.pop(g, ()) for g in group)) - members)
+                lu, piv = lu_factor(
+                    _gather(blocks, group, group, sizes), overwrite_a=True, check_finite=False
+                )
+                if not np.all(np.diagonal(lu)):
+                    raise RuntimeError(f"pivot block of nodes {group} is exactly singular")
+                lower = _gather(blocks, front, group, sizes)
+                coupling = _gather(blocks, group, front, sizes)
+                upper = lu_solve((lu, piv), coupling, overwrite_b=True, check_finite=False)
+                self._scatter_schur(blocks, front, sizes, lower @ upper)
+                for f in front:
+                    adjacent[f] = (adjacent[f] - members) | set(front)
+                self._steps.append(
+                    (
+                        (lu, piv),
+                        np.concatenate([mat.nodes[g] for g in group]),
+                        np.concatenate([mat.nodes[f] for f in front] or [np.zeros(0, int)]),
+                        lower,
+                        upper,
+                    )
+                )
+
+    @staticmethod
+    def _scatter_schur(blocks: dict, front, sizes, update: np.ndarray) -> None:
+        off = _starts(front, sizes)
+        for a, i in enumerate(front):
+            for b, j in enumerate(front):
+                part = update[off[a] : off[a + 1], off[b] : off[b + 1]]
+                blk = blocks.get((i, j))
+                blocks[i, j] = -part if blk is None else blk - part
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.array(b, dtype=float)
+        pivots = []
+        for factor, rows, front_rows, lower, _ in self._steps:
+            y = lu_solve(factor, x[rows], check_finite=False)
+            x[front_rows] -= lower @ y
+            pivots.append(y)
+        for (_, rows, front_rows, _, upper), y in zip(reversed(self._steps), reversed(pivots)):
+            x[rows] = y - upper @ x[front_rows]
+        return x

@@ -233,7 +233,3 @@ class TaylorHoodSpace:
             pts = self.qxy.reshape(-1, 2)
             vals = vals - np.asarray(exact(pts), dtype=float).reshape(vals.shape)
         return float(np.sqrt(np.einsum("tq,tq,tq->", self.qw, vals, vals)))
-
-    def pressure_integral(self, p: np.ndarray) -> float:
-        loc = p[self.mesh.triangles]
-        return float(np.einsum("tq,qa,ta->", self.qw, self.p1v_q, loc))

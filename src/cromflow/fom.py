@@ -4,9 +4,11 @@ One block layout serves both the full-order and the reduced system: each
 subdomain owns a contiguous range of velocity and pressure rows, and the
 per-component blocks (domain, weak Dirichlet, interface configurations) are
 placed at those offsets.  At full order the blocks are the sparse component
-operators; in the reduced system they are their dense projections.  The
-steady nonlinear problem is solved by Newton-Raphson with a sparse direct
-LU factorization; the full-order solve starts from a Stokes solve.
+operators, summed into sparse matrices; in the reduced system they are their
+dense projections, summed into dense cell blocks.  The steady nonlinear
+problem is solved by one Newton-Raphson loop; each system supplies its
+Newton matrix and a direct factorization of it.  The full-order system uses
+a sparse LU and starts from a Stokes solve.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,10 +49,12 @@ def saddle_lu(mat):
 class SolveReport:
     newton_iterations: int
     residual_history: list
+    # Euclidean norm of each Newton step, one per iteration
+    step_norms: list
     # seconds: assembly; the Newton phases jacobian (advection Jacobian),
-    # saddle (K + Jacobian and the saddle matrix), factorization (LU; the
-    # full-order Stokes start counts here too), solve (back-solve and update)
-    # and residual; total, from the start of the solve
+    # saddle (the Newton matrix: the linear saddle blocks plus the Jacobian),
+    # factorization (LU; the full-order Stokes start counts here too), solve
+    # (back-solve and update) and residual; total, from the start of the solve
     wall_times: dict
     converged: bool
     message: str = ""
@@ -61,11 +65,14 @@ class BlockSystem:
     """Global saddle-point system in the subdomain block layout.
 
     Subdomain m owns velocity rows ``off_u[m]:off_u[m + 1]`` and pressure
-    rows ``off_p[m]:off_p[m + 1]``.  The pressure block of the saddle matrix
-    is ``-C``: empty at full order, the pressure-gradient penalty in the
-    reduced system.  Without an outflow side the mean pressure is fixed by a
-    Lagrange multiplier, the last unknown.  Subclasses supply the advection
-    term.
+    rows ``off_p[m]:off_p[m + 1]``; the stacked state is all velocities, all
+    pressures, then the multiplier if any.  The pressure block of the saddle
+    matrix is ``-C``: empty at full order, the pressure-gradient penalty in
+    the reduced system.  Without an outflow side the mean pressure is fixed
+    by a Lagrange multiplier, the last unknown.  Subclasses store the linear
+    blocks (their ``block_sink`` sums the placements of
+    :func:`assemble_blocks`) and supply the residual, the advection term,
+    the Newton matrix and its factorization.
     """
 
     grid: GridConfig
@@ -74,9 +81,6 @@ class BlockSystem:
     off_p: np.ndarray
     n_u: int
     n_p: int
-    K: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
     rhs_u: np.ndarray
     rhs_p: np.ndarray
     pressure_constraint: bool
@@ -93,12 +97,6 @@ class BlockSystem:
     def n_dof(self) -> int:
         return self.n_u + self.n_p + (1 if self.pressure_constraint else 0)
 
-    def residual(self, u: np.ndarray, p: np.ndarray):
-        """Momentum and continuity residual blocks at a given state."""
-        r_u = self.K @ u + self.B.T @ p + self.advection_value(u) - self.rhs_u
-        r_p = self.B @ u - self.C @ p - self.rhs_p
-        return r_u, r_p
-
     def _split(self, x: np.ndarray):
         return x[: self.n_u], x[self.n_u : self.n_u + self.n_p]
 
@@ -110,14 +108,26 @@ class BlockSystem:
             return np.concatenate([r_u, r_p, [self.mean_row @ p]])
         return np.concatenate([r_u, r_p])
 
-    def _saddle(self, A_uu: sp.spmatrix) -> sp.csc_matrix:
-        if self.pressure_constraint:
-            m = sp.csr_matrix(self.mean_row[None, :])
-            return sp.bmat(
-                [[A_uu, self.B.T, None], [self.B, -self.C, m.T], [None, m, None]],
-                format="csc",
-            )
-        return sp.bmat([[A_uu, self.B.T], [self.B, -self.C]], format="csc")
+
+class _TripletSink:
+    """Block placements summed into the sparse matrices ``K``, ``B`` and ``C``."""
+
+    def __init__(self, off_u, off_p):
+        self._offsets = {"K": (off_u, off_u), "B": (off_p, off_u), "C": (off_p, off_p)}
+        self._triplets = {
+            name: Triplets((int(rows[-1]), int(cols[-1])))
+            for name, (rows, cols) in self._offsets.items()
+        }
+
+    def add(self, name: str, mat, m: int, n: int) -> None:
+        """Block ``mat`` of matrix ``name`` at rows of subdomain m, columns of n."""
+        rows, cols = self._offsets[name]
+        self._triplets[name].add(mat, rows[m], cols[n])
+
+    def fields(self) -> dict:
+        C = self._triplets["C"].tocsr()
+        C.eliminate_zeros()
+        return {"K": self._triplets["K"].tocsr(), "B": self._triplets["B"].tocsr(), "C": C}
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -129,6 +139,9 @@ def _offsets(sizes) -> np.ndarray:
 def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Mapping, **fields):
     """Place per-component and per-configuration blocks at subdomain offsets.
 
+    Every block goes to ``cls.block_sink``, which sums the placements into
+    the system's own storage of ``K``, ``B`` and ``C``.
+
     ``local`` maps component names to :class:`ComponentOperators` or their
     reduced projections; either carries ``K``, ``B``, ``C`` (empty at full
     order), ``K_di``/``B_di`` and ``loads`` by boundary tag and
@@ -136,7 +149,7 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     ``forcing_load``, which only the full-order operators have.
     ``interface_blocks`` maps (ref_m, ref_n, orientation) to blocks keyed
     "mm".."nn"; a missing needed configuration is an error.  Returns
-    ``cls`` built from the assembled fields plus ``fields``.
+    ``cls`` built from the sink's fields plus ``fields``.
     """
     grid.validate_components(local)
     M = grid.n_subdomains
@@ -145,17 +158,15 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     off_p = _offsets([ops.B.shape[0] for ops in parts])
     n_u, n_p = int(off_u[-1]), int(off_p[-1])
 
-    K = Triplets((n_u, n_u))
-    B = Triplets((n_p, n_u))
-    C = Triplets((n_p, n_p))
+    sink = cls.block_sink(off_u, off_p)
     rhs_u = np.zeros(n_u)
     rhs_p = np.zeros(n_p)
     any_neumann = any(grid.bc[s].kind == "neumann" for s in SIDES)
 
     for m, ops in enumerate(parts):
-        K.add(ops.K, off_u[m], off_u[m])
-        B.add(ops.B, off_p[m], off_u[m])
-        C.add(ops.C, off_p[m], off_p[m])
+        sink.add("K", ops.K, m, m)
+        sink.add("B", ops.B, m, m)
+        sink.add("C", ops.C, m, m)
         origin = grid.cell_origin(m)
         col, row = m % grid.cols, m // grid.cols
         if grid.forcing is not None:
@@ -165,8 +176,8 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
                 continue
             bc = grid.bc[side]
             if bc.kind == "dirichlet":
-                K.add(ops.K_di[side], off_u[m], off_u[m])
-                B.add(ops.B_di[side], off_p[m], off_u[m])
+                sink.add("K", ops.K_di[side], m, m)
+                sink.add("B", ops.B_di[side], m, m)
                 lu, lp = ops.loads[side].dirichlet_loads(bc.velocity, origin)
                 rhs_u[off_u[m] : off_u[m + 1]] += lu
                 rhs_p[off_p[m] : off_p[m + 1]] += lp
@@ -175,8 +186,8 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
                     bc.velocity, origin
                 )
         if "O" in ops.K_di:
-            K.add(ops.K_di["O"], off_u[m], off_u[m])
-            B.add(ops.B_di["O"], off_p[m], off_u[m])  # no-slip walls: zero loads
+            sink.add("K", ops.K_di["O"], m, m)
+            sink.add("B", ops.B_di["O"], m, m)  # no-slip walls: zero loads
 
     interfaces = interface_topology(grid)
     for m, n, orientation in interfaces:
@@ -184,14 +195,12 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
         if key not in interface_blocks:
             raise KeyError(f"missing interface blocks for configuration {key}")
         blocks = interface_blocks[key]
-        offs = {"m": m, "n": n}
+        cell = {"m": m, "n": n}
         for s in ("m", "n"):
             for t in ("m", "n"):
-                K.add(blocks.K[s + t], off_u[offs[s]], off_u[offs[t]])
-                B.add(blocks.B[s + t], off_p[offs[s]], off_u[offs[t]])
+                sink.add("K", blocks.K[s + t], cell[s], cell[t])
+                sink.add("B", blocks.B[s + t], cell[s], cell[t])
 
-    C_mat = C.tocsr()
-    C_mat.eliminate_zeros()
     mean_row = None
     if not any_neumann:
         mean_row = np.concatenate([ops.pressure_mean for ops in parts])
@@ -202,13 +211,11 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
         off_p=off_p,
         n_u=n_u,
         n_p=n_p,
-        K=K.tocsr(),
-        B=B.tocsr(),
-        C=C_mat,
         rhs_u=rhs_u,
         rhs_p=rhs_p,
         pressure_constraint=not any_neumann,
         mean_row=mean_row,
+        **sink.fields(),
         **fields,
     )
 
@@ -222,20 +229,22 @@ def _timed(times: dict, phase: str):
         times[phase] += time.perf_counter() - t0
 
 
-def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_start, t_fact):
+def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
     """Newton-Raphson on a block system from the stacked state ``x``.
 
-    ``factorize`` is the sparse LU of the calling solver; ``t_start`` and
-    ``t_fact`` are the solve's start time and the factorization seconds it
-    has spent before the loop.  A singular factorization or a non-finite
-    residual ends the loop with a non-converged report.  Returns
-    (u, p, report).
+    Each step asks the system for its Newton matrix
+    (``newton_matrix(advection_jacobian(u))``) and a factorization of it
+    (``factorize``); ``t_start`` and ``t_fact`` are the solve's start time
+    and the factorization seconds it has spent before the loop.  A singular
+    factorization (``RuntimeError``) or a non-finite residual ends the loop
+    with a non-converged report.  Returns (u, p, report).
     """
     times = dict.fromkeys(("jacobian", "saddle", "factorization", "solve", "residual"), 0.0)
     times["factorization"] = t_fact
     with _timed(times, "residual"):
         r = system._residual_vector(x)
     history = [float(np.linalg.norm(r))]
+    step_norms = []
     target = max(tol_rel * history[0], tol_abs)
     converged = history[0] <= target
     message = ""
@@ -245,15 +254,17 @@ def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_star
         with _timed(times, "jacobian"):
             adv = system.advection_jacobian(u)
         with _timed(times, "saddle"):
-            jac = system._saddle(system.K + adv)
+            jac = system.newton_matrix(adv)
         try:
             with _timed(times, "factorization"):
-                lu = factorize(jac)
+                lu = system.factorize(jac)
         except RuntimeError as exc:
             message = f"singular Newton factorization: {exc}"
             break
         with _timed(times, "solve"):
-            x = x + lu.solve(-r)
+            step = lu.solve(-r)
+            x = x + step
+        step_norms.append(float(np.linalg.norm(step)))
         with _timed(times, "residual"):
             r = system._residual_vector(x)
         history.append(float(np.linalg.norm(r)))
@@ -267,6 +278,7 @@ def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_star
     report = SolveReport(
         newton_iterations=it,
         residual_history=history,
+        step_norms=step_norms,
         wall_times={
             "assembly": system.assembly_time,
             **times,
@@ -280,10 +292,21 @@ def newton(system: BlockSystem, x, factorize, tol_rel, tol_abs, max_iter, t_star
 
 @dataclass(kw_only=True)
 class GlobalFomSystem(BlockSystem):
+    block_sink: ClassVar = _TripletSink
+
+    K: sp.csr_matrix
+    B: sp.csr_matrix
+    C: sp.csr_matrix
     operators: Mapping                  # component name -> ComponentOperators
 
     def ops_of(self, m: int) -> ComponentOperators:
         return self.operators[self.grid.component_name(m)]
+
+    def residual(self, u: np.ndarray, p: np.ndarray):
+        """Momentum and continuity residual blocks at a given state."""
+        r_u = self.K @ u + self.B.T @ p + self.advection_value(u) - self.rhs_u
+        r_p = self.B @ u - self.C @ p - self.rhs_p
+        return r_u, r_p
 
     def advection_value(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
@@ -297,6 +320,21 @@ class GlobalFomSystem(BlockSystem):
         for m in range(self.grid.n_subdomains):
             blocks.append(self.ops_of(m).adv.jacobian(u[self.slice_u(m)]))
         return sp.block_diag(blocks, format="csr")
+
+    def _saddle(self, A_uu: sp.spmatrix) -> sp.csc_matrix:
+        if self.pressure_constraint:
+            m = sp.csr_matrix(self.mean_row[None, :])
+            return sp.bmat(
+                [[A_uu, self.B.T, None], [self.B, -self.C, m.T], [None, m, None]],
+                format="csc",
+            )
+        return sp.bmat([[A_uu, self.B.T], [self.B, -self.C]], format="csc")
+
+    def newton_matrix(self, adv: sp.csr_matrix) -> sp.csc_matrix:
+        return self._saddle(self.K + adv)
+
+    def factorize(self, mat: sp.csc_matrix):
+        return saddle_lu(mat)
 
 
 def assemble_global(
@@ -355,7 +393,7 @@ def solve_newton(
     t_start = time.perf_counter()
     x = _solve_stokes_full(system)
     t_fact = time.perf_counter() - t_start
-    return newton(system, x, saddle_lu, tol_rel, tol_abs, max_iter, t_start, t_fact)
+    return newton(system, x, tol_rel, tol_abs, max_iter, t_start, t_fact)
 
 
 def mms_convergence(

@@ -5,7 +5,10 @@ error evaluation.
 The reduced system is the full-order block system of :mod:`cromflow.fom`
 with every component and interface block replaced by its dense projection;
 boundary loads come from the projected load builders, so any boundary
-condition can be applied without reassembling full-order operators.
+condition can be applied without reassembling full-order operators.  The
+projections are summed into one dense saddle block per cell and per
+neighbouring cell pair, and each Newton matrix is factored block by block
+in nested-dissection order (:mod:`cromflow.blocklu`).
 
 The pressure block holds the per-component pressure-gradient penalty
 ``-C`` (zero for a basis that spans its training snapshots).  Without it,
@@ -28,14 +31,15 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _binio, eqp, reduction
+from .blocklu import BlockLU, CellBlockMatrix, nested_dissection
 from .eqp import eqp_advection_jacobian, eqp_advection_value
-from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton, saddle_lu
+from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton
+from .fom import saddle_lu  # noqa: F401  not called: perfbench/tracing.py wraps rom.saddle_lu
 from .geometry import GridConfig
 from .reduction import (
     ReducedComponentOperators,
@@ -65,8 +69,48 @@ TENSORIAL = "tensorial"
 EQP = "eqp"
 
 
+class _CellBlockSink:
+    """Block placements summed into one dense saddle block per cell pair.
+
+    The block of cells (m, n) is ``[[K_mn, B_nm^T], [B_mn, -C_mn]]`` in the
+    order (velocity modes, pressure modes) of each cell.
+    """
+
+    def __init__(self, off_u, off_p):
+        self._r_u = np.diff(off_u)
+        n_u = off_u[-1]
+        self._cells = [
+            np.concatenate([np.arange(u0, u1), n_u + np.arange(p0, p1)])
+            for u0, u1, p0, p1 in zip(off_u[:-1], off_u[1:], off_p[:-1], off_p[1:])
+        ]
+        self._blocks = {}
+
+    def _block(self, m: int, n: int) -> np.ndarray:
+        if (m, n) not in self._blocks:
+            self._blocks[m, n] = np.zeros((len(self._cells[m]), len(self._cells[n])))
+        return self._blocks[m, n]
+
+    def add(self, name: str, mat, m: int, n: int) -> None:
+        """Block ``mat`` of matrix ``name`` at rows of cell m, columns of n."""
+        rm, rn = self._r_u[m], self._r_u[n]
+        if name == "K":
+            self._block(m, n)[:rm, :rn] += mat
+        elif name == "B":
+            self._block(m, n)[rm:, :rn] += mat
+            self._block(n, m)[:rn, rm:] += mat.T
+        else:
+            self._block(m, n)[rm:, rn:] -= mat
+
+    def fields(self) -> dict:
+        return {"saddle": CellBlockMatrix(self._cells, self._blocks)}
+
+
 @dataclass(kw_only=True)
 class GlobalRomSystem(BlockSystem):
+    block_sink: ClassVar = _CellBlockSink
+
+    # the linear saddle matrix without the multiplier; node m is cell m
+    saddle: CellBlockMatrix
     reduced: Mapping                     # component name -> ReducedComponentOperators
     backend: str
     fom_off_u: np.ndarray
@@ -91,6 +135,12 @@ class GlobalRomSystem(BlockSystem):
             groups.append((red, ms, self.off_u[ms][:, None] + np.arange(red.r_u)))
         return groups
 
+    def residual(self, u_hat: np.ndarray, p_hat: np.ndarray):
+        """Momentum and continuity residual blocks at a given state."""
+        r = self.saddle.matvec(np.concatenate([u_hat, p_hat]))
+        r_u, r_p = self._split(r)
+        return r_u + self.advection_value(u_hat) - self.rhs_u, r_p - self.rhs_p
+
     def advection_value(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
         for red, _, rows in self._type_groups:
@@ -100,7 +150,8 @@ class GlobalRomSystem(BlockSystem):
                 out[rows] = eqp_advection_value(red.eqp_rule, u_hat[rows].T).T
         return out
 
-    def advection_jacobian(self, u_hat: np.ndarray) -> sp.csr_matrix:
+    def advection_jacobian(self, u_hat: np.ndarray) -> list:
+        """The dense advection Jacobian block of each cell."""
         blocks = [None] * self.grid.n_subdomains
         for red, ms, rows in self._type_groups:
             if self.backend == TENSORIAL:
@@ -109,11 +160,46 @@ class GlobalRomSystem(BlockSystem):
                 jac = eqp_advection_jacobian(red.eqp_rule, u_hat[rows].T)
             for m, block in zip(ms, jac):
                 blocks[m] = block
-        return sp.block_diag(blocks, format="csr")
+        return blocks
+
+    @cached_property
+    def _multiplier(self) -> dict:
+        """The multiplier's node (the last) and its border blocks with each cell."""
+        last = self.grid.n_subdomains
+        border = {(last, last): np.zeros((1, 1))}
+        for m in range(last):
+            col = np.zeros((len(self.saddle.nodes[m]), 1))
+            col[self.red_of(m).r_u :, 0] = self.mean_row[self.slice_p(m)]
+            border[m, last] = col
+            border[last, m] = col.T
+        return border
+
+    def newton_matrix(self, adv: list) -> CellBlockMatrix:
+        """The saddle blocks with each cell's Jacobian added, and the
+        multiplier as one more node if the grid has one."""
+        blocks = dict(self.saddle.blocks)
+        for m, jac in enumerate(adv):
+            diag = blocks[m, m].copy()
+            diag[: jac.shape[0], : jac.shape[1]] += jac
+            blocks[m, m] = diag
+        nodes = self.saddle.nodes
+        if self.pressure_constraint:
+            blocks.update(self._multiplier)
+            nodes = nodes + [np.array([self.n_dof - 1])]
+        return CellBlockMatrix(nodes, blocks)
+
+    def factorize(self, mat: CellBlockMatrix) -> BlockLU:
+        """Block LU over the cells in nested-dissection order; the
+        multiplier, where present, is the last pivot group."""
+        groups = nested_dissection(self.grid.rows, self.grid.cols)
+        if self.pressure_constraint:
+            groups.append([self.grid.n_subdomains])
+        return BlockLU(mat, groups)
 
     def divergence_sigma_min(self) -> float:
         """Smallest singular value of the assembled reduced B in l2 coordinates."""
-        return float(np.linalg.svd(self.B.toarray(), compute_uv=False)[-1])
+        B = self.saddle.toarray()[self.n_u :, : self.n_u]
+        return float(np.linalg.svd(B, compute_uv=False)[-1])
 
 
 @dataclass
@@ -192,7 +278,7 @@ def solve_rom_newton(
     """
     t_start = time.perf_counter()
     x = np.zeros(system.n_dof)
-    return newton(system, x, saddle_lu, tol_rel, tol_abs, max_iter, t_start, 0.0)
+    return newton(system, x, tol_rel, tol_abs, max_iter, t_start, 0.0)
 
 
 def lift(system: GlobalRomSystem, u_hat: np.ndarray, p_hat: np.ndarray) -> LiftedSolution:

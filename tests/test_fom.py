@@ -229,6 +229,9 @@ class TestNewton:
         assert report.converged
         hist = report.residual_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
+        steps = report.step_norms
+        assert len(steps) == report.newton_iterations > 0
+        assert all(b < a for a, b in zip(steps, steps[1:]))
 
     def test_quadratic_convergence_window(self):
         n = 8

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cromflow import rom
+from cromflow.blocklu import nested_dissection
 from cromflow.eqp import EqpRule
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.fom import assemble_global, solve_newton
@@ -34,6 +34,17 @@ def assert_phases_within_total(report):
     # disjoint intervals of one clock; the slack covers the rounding of the sum
     parts = sum(report.wall_times[k] for k in NEWTON_PHASES)
     assert parts <= report.wall_times["total"] + 1e-9
+
+
+def assert_singular_solve_reported(system):
+    uh, ph, report = solve_rom_newton(system)
+    assert not report.converged
+    assert report.newton_iterations == 0
+    assert "singular" in report.message
+    assert report.step_norms == []
+    assert not np.any(uh) and not np.any(ph)
+    assert set(report.wall_times) == {"assembly", "total", *NEWTON_PHASES}
+    assert_phases_within_total(report)
 
 
 def channel_profile(xy):
@@ -158,8 +169,11 @@ class TestAssembly:
         grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
         fom_sys = assemble_global(grid, ops, blocks)
         rom_sys = assemble_global_rom(grid, reduced, riface)
-        assert np.abs(rom_sys.K - fom_sys.K).max() < 1e-12
-        assert np.abs(rom_sys.B - fom_sys.B).max() < 1e-12
+        n = rom_sys.n_u
+        saddle = rom_sys.saddle.toarray()
+        assert np.abs(saddle[:n, :n] - fom_sys.K).max() < 1e-12
+        assert np.abs(saddle[n:, :n] - fom_sys.B).max() < 1e-12
+        assert np.abs(saddle[:n, n:] - fom_sys.B.T).max() < 1e-12
         assert np.abs(rom_sys.rhs_u - fom_sys.rhs_u).max() < 1e-12
         assert np.abs(rom_sys.rhs_p - fom_sys.rhs_p).max() < 1e-12
 
@@ -215,12 +229,15 @@ class TestStackedAdvection:
             red, sl = system.red_of(m), system.slice_u(m)
             ref_value[sl] = value_of(red, uh[sl])
             ref_blocks.append(jacobian_of(red, uh[sl]))
-        ref_jac = sp.block_diag(ref_blocks).toarray()
-        got_jac = system.advection_jacobian(uh)
-        assert sp.isspmatrix_csr(got_jac)
+        got_blocks = system.advection_jacobian(uh)
+        assert len(got_blocks) == grid.n_subdomains
         value = system.advection_value(uh)
         assert np.linalg.norm(value - ref_value) <= 1e-12 * np.linalg.norm(ref_value)
-        assert np.linalg.norm(got_jac.toarray() - ref_jac) <= 1e-12 * np.linalg.norm(ref_jac)
+        for got, ref in zip(got_blocks, ref_blocks):
+            assert got.shape == ref.shape
+        got_jac = np.concatenate([b.ravel() for b in got_blocks])
+        ref_jac = np.concatenate([b.ravel() for b in ref_blocks])
+        assert np.linalg.norm(got_jac - ref_jac) <= 1e-12 * np.linalg.norm(ref_jac)
 
     @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
     def test_one_kernel_call_per_component_type_per_newton_step(
@@ -270,31 +287,41 @@ class TestSolve:
         _, _, rep_r = solve_rom_newton(assemble_global_rom(grid, reduced, riface))
         keys = {"assembly", "total", *NEWTON_PHASES}
         assert set(rep_f.wall_times) == set(rep_r.wall_times) == keys
+        for rep in (rep_f, rep_r):
+            assert len(rep.step_norms) == rep.newton_iterations
         assert rep_r.newton_iterations > 0
         assert rep_r.wall_times["factorization"] > 0.0
         assert all(rep_r.wall_times[k] > 0.0 for k in NEWTON_PHASES)
         assert_phases_within_total(rep_f)
         assert_phases_within_total(rep_r)
 
-    def test_singular_factorization_is_reported(self, parts, monkeypatch):
+    def test_singular_factorization_is_reported(self, parts):
         space, ops, blocks = parts
         basis = random_basis(space, 8, 3)
         reduced, riface = project_linear(ops, blocks, {"empty": basis})
         reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
         grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
         system = assemble_global_rom(grid, reduced, riface)
+        # a velocity mode of the first cell that no equation sees: the first
+        # pivot block has a zero row and column at the zero state
+        for (m, n), blk in system.saddle.blocks.items():
+            if m == 0:
+                blk[0, :] = 0.0
+            if n == 0:
+                blk[:, 0] = 0.0
+        assert_singular_solve_reported(system)
 
-        def singular(mat):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(rom, "saddle_lu", singular)
-        uh, ph, report = solve_rom_newton(system)
-        assert not report.converged
-        assert report.newton_iterations == 0
-        assert "singular" in report.message
-        assert not np.any(uh) and not np.any(ph)
-        assert set(report.wall_times) == {"assembly", "total", *NEWTON_PHASES}
-        assert_phases_within_total(report)
+    def test_singular_multiplier_pivot_is_reported(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 8, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        bc = {s: SideBC("dirichlet", channel_profile) for s in "LRBT"}
+        grid = GridConfig(1, 2, [["empty", "empty"]], NU, bc)
+        system = assemble_global_rom(grid, reduced, riface)
+        # a multiplier that constrains nothing: its pivot, the last, is zero
+        system.mean_row[:] = 0.0
+        assert_singular_solve_reported(system)
 
     def test_zero_inflow_zero_state(self, parts):
         space, ops, blocks = parts
@@ -345,7 +372,9 @@ class TestSolve:
         rom_sys = assemble_global_rom(grid, reduced, riface)
         pp = basis.phi_p
         block = 1e-3 * pp.T @ ops["empty"].pressure_stiffness.toarray() @ pp
-        assert np.abs(rom_sys.C.toarray() - np.kron(np.eye(4), block)).max() < 1e-15
+        n = rom_sys.n_u
+        C = -rom_sys.saddle.toarray()[n:, n:]
+        assert np.abs(C - np.kron(np.eye(4), block)).max() < 1e-15
         rng = np.random.default_rng(3)
         uh = rng.standard_normal(rom_sys.n_u)
         ph = rng.standard_normal(rom_sys.n_p)
@@ -353,7 +382,7 @@ class TestSolve:
         pr_u, pr_p = project_state(rom_sys, *fom_sys.residual(lifted.u, lifted.p))
         rr_u, rr_p = rom_sys.residual(uh, ph)
         assert np.abs(rr_u - pr_u).max() < 1e-10
-        assert np.abs(rr_p - (pr_p - rom_sys.C @ ph)).max() < 1e-10
+        assert np.abs(rr_p - (pr_p - C @ ph)).max() < 1e-10
 
     def test_zero_penalty_leaves_pressure_block_empty(self, parts):
         space, ops, blocks = parts
@@ -362,9 +391,53 @@ class TestSolve:
         reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
         grid = GridConfig(2, 2, [["empty"] * 2] * 2, NU, channel_bc())
         rom_sys = assemble_global_rom(grid, reduced, riface)
-        assert rom_sys.C.nnz == 0
+        r_u = basis.phi_u.shape[1]
+        for blk in rom_sys.saddle.blocks.values():
+            assert not np.any(blk[r_u:, r_u:])
         n = rom_sys.n_u
-        assert rom_sys._saddle(rom_sys.K)[n:, n:].nnz == 0
+        assert not np.any(rom_sys.saddle.toarray()[n:, n:])
+
+
+class TestBlockFactorization:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 2), (3, 3), (4, 7), (6, 3)])
+    def test_nested_dissection_partitions_the_grid(self, shape):
+        rows, cols = shape
+        groups = nested_dissection(rows, cols)
+        assert sorted(m for g in groups for m in g) == list(range(rows * cols))
+        for g in groups:
+            # a leaf of at most 2 cells, or a separator: one line of cells
+            one_line = len({m // cols for m in g}) == 1 or len({m % cols for m in g}) == 1
+            assert len(g) <= 2 or one_line
+
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_block_solve_matches_dense_solve(self, mixed_3x3, backend, outflow):
+        grid, reduced, riface = mixed_3x3
+        if not outflow:
+            bc = {s: SideBC("dirichlet", channel_profile) for s in "LRBT"}
+            grid = GridConfig(3, 3, grid.cell_component, NU, bc)
+        system = assemble_global_rom(grid, reduced, riface, backend)
+        assert system.pressure_constraint == (not outflow)
+        rng = np.random.default_rng(21)
+        adv = system.advection_jacobian(5 * rng.standard_normal(system.n_u))
+        # the dense Newton matrix: linear saddle matrix, the Jacobian on the
+        # velocity diagonal, the mean-pressure border
+        n_u, n_p = system.n_u, system.n_p
+        dense = np.zeros((system.n_dof, system.n_dof))
+        dense[: n_u + n_p, : n_u + n_p] = system.saddle.toarray()
+        for m, jac in enumerate(adv):
+            dense[system.slice_u(m), system.slice_u(m)] += jac
+        if system.pressure_constraint:
+            dense[n_u : n_u + n_p, -1] = system.mean_row
+            dense[-1, n_u : n_u + n_p] = system.mean_row
+        mat = system.newton_matrix(adv)
+        assert np.array_equal(mat.toarray(), dense)
+        b = rng.standard_normal(system.n_dof)
+        x = system.factorize(mat).solve(b)
+        ref = np.linalg.solve(dense, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        # the factorization leaves the matrix it factors unchanged
+        assert np.array_equal(mat.toarray(), dense)
 
 
 class TestLift:
