@@ -9,8 +9,6 @@ from .geometry import (
     SideBC,
     generate_empty_mesh,
     generate_obstacle_mesh,
-    load_mesh,
-    save_mesh,
 )
 from .femspace import TaylorHoodSpace
 from .weakforms import (

@@ -1,4 +1,4 @@
-"""Command-line entry points for meshing, training, prediction, and studies."""
+"""Command-line entry points for sampling, training, prediction, and studies."""
 
 from __future__ import annotations
 
@@ -81,15 +81,6 @@ def _load_bases(out_dir: Path, cfg, parts) -> dict:
     return bases
 
 
-def cmd_mesh_gen(args):
-    if args.kind == "empty":
-        mesh = geometry.generate_empty_mesh(args.n)
-    else:
-        mesh = geometry.generate_obstacle_mesh(args.n, args.kind, args.half_width)
-    geometry.save_mesh(mesh, args.out)
-    print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
-
-
 def cmd_sample(args):
     cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -104,11 +95,12 @@ def cmd_train(args):
     cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     parts = harness.build_component_set(cfg)
-    snapshots = None
     if _snapshot_path(args.out_dir, cfg.components[0]).exists():
         snapshots = _load_snapshots(args.out_dir, cfg, parts)
-    model = harness.train_model(cfg, parts=parts, snapshots=snapshots, with_eqp=False)
-    _save_snapshots(args.out_dir, cfg, model.snapshots)
+    else:
+        snapshots, _ = harness.generate_snapshots(cfg, parts)
+        _save_snapshots(args.out_dir, cfg, snapshots)
+    model = harness.train_model(cfg, parts, snapshots, with_eqp=False)
     for name in cfg.components:
         save_basis(model.bases[name], args.out_dir / f"basis_{name}.bin")
         save_tensor(model.reduced[name].tensor, args.out_dir / f"tensor_{name}.bin")
@@ -124,9 +116,9 @@ def cmd_train_eqp(args):
     snapshots = _load_snapshots(args.out_dir, cfg, parts)
     for name in cfg.components:
         ops = parts.operators[name]
-        rule, eps = harness.train_eqp_rule(cfg, ops, bases[name], snapshots[name])
+        rule = harness.train_eqp_rule(cfg, ops, bases[name], snapshots[name])
         save_rule(rule, args.out_dir / f"eqp_{name}.bin")
-        print(f"{name}: {rule.n_points} points, residual {rule.residual:.3e} (eps {eps:.3e})")
+        print(f"{name}: {rule.n_points} points, residual {rule.residual:.3e} (eps {rule.eps:.3e})")
 
 
 def _grid_from_args(args, cfg):
@@ -158,7 +150,7 @@ def cmd_predict_fom(args):
 def cmd_predict_rom(args):
     cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    reduced, riface = rom.load_model(args.out_dir, cfg, args.backend)
+    reduced, riface = rom.load_model(args.out_dir, cfg, (args.backend,))
     grid = _grid_from_args(args, cfg)
     system = rom.assemble_global_rom(grid, reduced, riface, args.backend)
     uh, ph, report = rom.solve_rom_newton(
@@ -178,9 +170,14 @@ def cmd_predict_rom(args):
 
 def cmd_study(args):
     cfg = _load_config(args)
-    # only the scaling study reads the trained EQP rules; the backend
-    # comparison retrains its own per basis size
-    model = harness.train_model(cfg, with_eqp=args.which == "scaling")
+    # the full-order component set serves the FOM references; the sweeps
+    # retrain per Z or R from the stored snapshots, and only the scaling
+    # study reads the trained EQP rules
+    parts = harness.build_component_set(cfg)
+    snapshots = _load_snapshots(args.out_dir, cfg, parts)
+    backends = (rom.TENSORIAL, rom.EQP) if args.which == "scaling" else (rom.TENSORIAL,)
+    reduced, riface = rom.load_model(args.out_dir, cfg, backends)
+    model = harness.TrainedModel(cfg, parts, snapshots, reduced, riface)
     if args.which == "scaling":
         path = harness.run_scaling_study(model, args.out_dir)
     elif args.which == "supremizer":
@@ -199,13 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mesh-gen", help="generate a component mesh file")
-    p.add_argument("--kind", choices=("empty", "square", "circle"), default="empty")
-    p.add_argument("--n", type=int, default=8, help="segments per side")
-    p.add_argument("--half-width", type=float, default=0.25)
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_mesh_gen)
 
     p = sub.add_parser("sample", help="generate training snapshots")
     _add_common(p)
@@ -232,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vtk", action="store_true")
     p.set_defaults(func=cmd_predict_rom)
 
-    p = sub.add_parser("study", help="run a full experiment study")
+    p = sub.add_parser("study", help="run an experiment study on the trained artifacts")
     p.add_argument("which", choices=("scaling", "supremizer", "backend"))
     _add_common(p)
     p.add_argument("--z-values", type=int, nargs="*", help="supremizer counts")

@@ -24,7 +24,7 @@ GEOM_TOL = 1e-12
 
 
 class MeshError(ValueError):
-    """Invalid mesh topology, geometry or file contents."""
+    """Invalid mesh topology or geometry."""
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -241,78 +241,6 @@ def build_component_meshes(cfg) -> dict:
                 "'empty', 'square' and 'circle'"
             )
     return meshes
-
-
-# --- mesh text format ------------------------------------------------------
-
-_MESH_HEADER = "CROM-MESH 1"
-
-
-def save_mesh(mesh: ComponentMesh, path) -> None:
-    """Write the line-oriented text format (header, vertices, triangles, boundary)."""
-    lines = [_MESH_HEADER, f"vertices {mesh.n_vertices}"]
-    lines += [f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices]
-    lines.append(f"triangles {mesh.n_triangles}")
-    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-    lines.append(f"boundary {mesh.boundary_edges.shape[0]}")
-    lines += [
-        f"{i} {j} {t}"
-        for (i, j), t in zip(mesh.boundary_edges, mesh.boundary_tags)
-    ]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path) -> ComponentMesh:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    lines = [ln.strip() for ln in tokens if ln.strip()]
-    if not lines or lines[0] != _MESH_HEADER:
-        raise MeshError("missing CROM-MESH header")
-    pos = 1
-
-    def section(name):
-        nonlocal pos
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] != name:
-            raise MeshError(f"expected '{name} N' at line {pos + 1}")
-        pos += 1
-        try:
-            return int(parts[1])
-        except ValueError as exc:
-            raise MeshError(f"bad {name} count") from exc
-
-    n_v = section("vertices")
-    try:
-        verts = np.array(
-            [[float(t) for t in lines[pos + i].split()] for i in range(n_v)]
-        ).reshape(n_v, 2)
-    except (ValueError, IndexError) as exc:
-        raise MeshError("malformed vertex line") from exc
-    pos += n_v
-    n_t = section("triangles")
-    try:
-        tris = np.array(
-            [[int(t) for t in lines[pos + i].split()] for i in range(n_t)]
-        ).reshape(n_t, 3)
-    except (ValueError, IndexError) as exc:
-        raise MeshError("malformed triangle line") from exc
-    pos += n_t
-    n_b = section("boundary")
-    edges, tags = [], []
-    for i in range(n_b):
-        try:
-            si, sj, tag = lines[pos + i].split()
-            edges.append((int(si), int(sj)))
-        except (ValueError, IndexError) as exc:
-            raise MeshError("malformed boundary line") from exc
-        tags.append(tag)
-    pos += n_b
-    if pos != len(lines):
-        raise MeshError("trailing content after boundary section")
-    return ComponentMesh(
-        verts, tris, np.array(edges, dtype=np.int64).reshape(-1, 2), tuple(tags)
-    )
 
 
 # --- grid configuration ----------------------------------------------------

@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -215,6 +215,7 @@ def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
     Non-convergent samples are skipped and logged.  Returns (snapshot sets
     by component, number of skipped samples).
     """
+    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     columns = {name: ([], []) for name in cfg.components}
     skipped = 0
@@ -254,6 +255,12 @@ def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
             np.column_stack([np.zeros((space.n_u, 0)), *us]),
             np.column_stack([np.zeros((space.n_p, 0)), *ps]),
         )
+    log.info(
+        "snapshot generation: %d samples (%d skipped) in %.1fs",
+        cfg.train_samples,
+        skipped,
+        time.perf_counter() - t0,
+    )
     return sets, skipped
 
 
@@ -262,10 +269,12 @@ class TrainedModel:
     cfg: ExperimentConfig
     parts: ComponentSet
     snapshots: dict
-    bases: dict
     reduced: dict
     reduced_interfaces: dict
-    eqp_tols: dict = field(default_factory=dict)
+
+    @property
+    def bases(self) -> dict:
+        return {name: red.basis for name, red in self.reduced.items()}
 
 
 def train_bases(cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict) -> dict:
@@ -278,37 +287,23 @@ def train_bases(cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict) -> 
 
 
 def train_model(
-    cfg: ExperimentConfig,
-    parts: Optional[ComponentSet] = None,
-    snapshots: Optional[dict] = None,
-    with_eqp: bool = True,
+    cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict, with_eqp: bool = True
 ) -> TrainedModel:
-    """Full training pipeline: snapshots, POD + supremizers, projection, tensors, EQP."""
-    parts = parts or build_component_set(cfg)
-    if snapshots is None:
-        t0 = time.perf_counter()
-        snapshots, skipped = generate_snapshots(cfg, parts)
-        log.info(
-            "snapshot generation: %d samples (%d skipped) in %.1fs",
-            cfg.train_samples,
-            skipped,
-            time.perf_counter() - t0,
-        )
+    """POD + supremizers, projection, tensors and EQP on the given snapshots."""
     bases = train_bases(cfg, parts, snapshots)
     reduced, riface = project_linear(parts.operators, parts.interface_blocks, bases)
-    eqp_tols = {}
     for name in cfg.components:
         red = reduced[name]
         red.tensor = build_advection_tensor(parts.operators[name], bases[name].phi_u)
         if with_eqp:
-            red.eqp_rule, eqp_tols[name] = train_eqp_rule(
+            red.eqp_rule = train_eqp_rule(
                 cfg, parts.operators[name], bases[name], snapshots[name]
             )
-    return TrainedModel(cfg, parts, snapshots, bases, reduced, riface, eqp_tols)
+    return TrainedModel(cfg, parts, snapshots, reduced, riface)
 
 
 def train_eqp_rule(cfg: ExperimentConfig, ops, basis, snapshots):
-    """EQP rule of one component; returns (rule, threshold).
+    """EQP rule of one component, trained to the threshold ``rule.eps``.
 
     The threshold is ``cfg.eqp_tol``, or the missing-energy ratio of the
     velocity basis when that is unset.
@@ -322,7 +317,7 @@ def train_eqp_rule(cfg: ExperimentConfig, ops, basis, snapshots):
         "EQP %s: %d of %d points (eps %.2e, residual %.2e)",
         rule.component, rule.n_points, manifest.G.shape[1], eps, rule.residual,
     )
-    return rule, eps
+    return rule
 
 
 # --- prediction studies -----------------------------------------------------
@@ -440,7 +435,7 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
     cases = _test_cases(cfg, np.random.default_rng(cfg.seed + 2), grid_size)
     for z in z_values:
         sub_cfg = replace(cfg, supremizer_size=z)
-        sub = train_model(sub_cfg, parts=model.parts, snapshots=model.snapshots, with_eqp=False)
+        sub = train_model(sub_cfg, model.parts, model.snapshots, with_eqp=False)
         for case, (_, sample, grid) in enumerate(cases):
             row = {"Z": z, "case": case, **sample.as_row()}
             row.update(_solve_case(sub, grid, (TENSORIAL,)))
@@ -473,7 +468,7 @@ def run_backend_comparison(model: TrainedModel, out_dir, r_values, grid_size=4) 
     rows = []
     for r in r_values:
         sub_cfg = replace(cfg, basis_size=r, pressure_basis_size=r, supremizer_size=r)
-        sub = train_model(sub_cfg, parts=model.parts, snapshots=model.snapshots, with_eqp=True)
+        sub = train_model(sub_cfg, model.parts, model.snapshots)
         for case, (_, sample, grid) in enumerate(cases):
             row = {"R": r, "case": case, **sample.as_row()}
             row["eqp_points"] = ";".join(

@@ -488,13 +488,14 @@ def read_model(path):
     return config, checksums, reduced, interfaces
 
 
-def load_model(out_dir, cfg, backend: str = TENSORIAL):
+def load_model(out_dir, cfg, backends):
     """The reduced model that ``train`` (and ``train-eqp``) wrote to ``out_dir``.
 
     Returns (reduced component operators by name, reduced interface blocks),
-    ready for :func:`assemble_global_rom` with ``backend``.  Reads
-    :data:`MODEL_FILE`, the bases and the advection tensors (tensorial) or
-    quadrature rules (EQP); builds no mesh, space or full-order operator.
+    ready for :func:`assemble_global_rom` with each of ``backends``.  Reads
+    :data:`MODEL_FILE`, the bases and the advection tensors (tensorial)
+    and/or quadrature rules (EQP); builds no mesh, space or full-order
+    operator.
 
     Raises :class:`~cromflow._binio.FormatError` when the model was trained
     under other values of :data:`MODEL_CONFIG_KEYS` than ``cfg`` has, or
@@ -502,8 +503,6 @@ def load_model(out_dir, cfg, backend: str = TENSORIAL):
     the one stored.  The meshes depend on config keys alone, so the
     checksums also tie each basis to the meshes of ``cfg``.
     """
-    if backend not in (TENSORIAL, EQP):
-        raise ValueError(f"unknown advection backend {backend!r}")
     out_dir = Path(out_dir)
     path = out_dir / MODEL_FILE
     config, checksums, reduced, interfaces = read_model(path)
@@ -517,9 +516,9 @@ def load_model(out_dir, cfg, backend: str = TENSORIAL):
                 f"{path} was projected on another velocity basis than {basis_path};"
                 " run train again"
             )
-        if backend == TENSORIAL:
+        if TENSORIAL in backends:
             red.tensor = reduction.load_tensor(out_dir / f"tensor_{name}.bin")
-        else:
+        if EQP in backends:
             rule_path = out_dir / f"eqp_{name}.bin"
             red.eqp_rule = eqp.load_rule(rule_path)
             if red.eqp_rule.phi_u_checksum != checksum:

@@ -19,8 +19,9 @@ from cromflow.fom import assemble_global, mms_convergence, solve_newton
 from cromflow.geometry import GridConfig, SideBC, generate_empty_mesh
 from cromflow.harness import (
     ExperimentConfig,
-    TrainedModel,
     bc_from_sample,
+    build_component_set,
+    generate_snapshots,
     random_cells,
     run_scaling_study,
     run_supremizer_ablation,
@@ -51,7 +52,9 @@ def model():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return train_model(cfg)
+        parts = build_component_set(cfg)
+        snapshots, _ = generate_snapshots(cfg, parts)
+        return train_model(cfg, parts, snapshots)
 
 
 class TestCriterion1:
@@ -242,8 +245,8 @@ class TestCriterion3:
             w[rule.element_ids * n_q + rule.local_ids] = rule.weights
             res = np.linalg.norm(manifest.G @ w - manifest.d)
             rel = res / np.linalg.norm(manifest.d)
-            assert rel <= model.eqp_tols[name]
-            worst_d = max(worst_d, rel / model.eqp_tols[name])
+            assert rel <= rule.eps
+            worst_d = max(worst_d, rel / rule.eps)
         details.append(f"(d) EQP residual at {worst_d:.2f} x threshold (must be <= 1)")
         report(3, "oracle equivalence", True, "; ".join(details))
 
@@ -251,14 +254,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_supremizer_ablation(self, model, tmp_path):
         t0 = time.perf_counter()
-        sub = TrainedModel(
-            replace(model.cfg, tests_per_size=4),
-            model.parts,
-            model.snapshots,
-            model.bases,
-            model.reduced,
-            model.reduced_interfaces,
-        )
+        sub = replace(model, cfg=replace(model.cfg, tests_per_size=4))
         r_p = model.cfg.r_p
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -313,7 +309,7 @@ class TestCriterion5:
     def test_backend_agreement(self, model):
         t0 = time.perf_counter()
         cfg = model.cfg
-        eps = max(model.eqp_tols.values())
+        eps = max(model.reduced[name].eqp_rule.eps for name in cfg.components)
         tol = max(2.0 * eps, 0.005)
         rng = np.random.default_rng(SEED + 5)
         diffs = []
@@ -397,14 +393,7 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_study_determinism(self, model, tmp_path):
-        sub = TrainedModel(
-            replace(model.cfg, predict_sizes=(2,), tests_per_size=3),
-            model.parts,
-            model.snapshots,
-            model.bases,
-            model.reduced,
-            model.reduced_interfaces,
-        )
+        sub = replace(model, cfg=replace(model.cfg, predict_sizes=(2,), tests_per_size=3))
         p1 = run_scaling_study(sub, tmp_path / "run1")
         p2 = run_scaling_study(sub, tmp_path / "run2")
         r1 = list(csv.DictReader(open(p1, newline="", encoding="utf-8")))

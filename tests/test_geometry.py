@@ -9,9 +9,7 @@ from cromflow.geometry import (
     generate_empty_mesh,
     generate_obstacle_mesh,
     interface_topology,
-    load_mesh,
     match_side_faces,
-    save_mesh,
     triangle_areas,
     OBSTACLE_TAG,
     SIDES,
@@ -123,60 +121,6 @@ class TestMeshValidation:
                 m.boundary_edges[keep],
                 tuple(m.boundary_tags[b] for b in keep),
             )
-
-
-class TestMeshFile:
-    def test_round_trip(self, tmp_path):
-        m = generate_empty_mesh(4)
-        path = tmp_path / "mesh.txt"
-        save_mesh(m, path)
-        m2 = load_mesh(path)
-        assert np.array_equal(m.vertices, m2.vertices)
-        assert np.array_equal(m.triangles, m2.triangles)
-        assert np.array_equal(m.boundary_edges, m2.boundary_edges)
-        assert m.boundary_tags == m2.boundary_tags
-
-    def test_round_trip_obstacle(self, tmp_path):
-        m = generate_obstacle_mesh(4, "circle", 0.15)
-        path = tmp_path / "mesh.txt"
-        save_mesh(m, path)
-        m2 = load_mesh(path)
-        assert np.array_equal(m.vertices, m2.vertices)
-        assert m.boundary_tags == m2.boundary_tags
-
-    def test_load_inverted_triangle_fails(self, tmp_path):
-        m = generate_empty_mesh(2)
-        path = tmp_path / "mesh.txt"
-        save_mesh(m, path)
-        lines = path.read_text().splitlines()
-        # triangle section starts after header + vertex count + 9 vertices
-        idx = 2 + 9 + 1
-        i, j, k = lines[idx].split()
-        lines[idx] = f"{k} {j} {i}"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError, match="area"):
-            load_mesh(path)
-
-    def test_load_bad_header(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        path.write_text("NOT-A-MESH\n")
-        with pytest.raises(MeshError):
-            load_mesh(path)
-
-    def test_load_gap_in_trace(self, tmp_path):
-        m = generate_empty_mesh(2)
-        path = tmp_path / "mesh.txt"
-        save_mesh(m, path)
-        lines = path.read_text().splitlines()
-        nb = int(lines[-9].split()[1]) if lines[-9].startswith("boundary") else None
-        # drop one boundary edge line and fix the count
-        bpos = next(i for i, ln in enumerate(lines) if ln.startswith("boundary"))
-        count = int(lines[bpos].split()[1])
-        lines[bpos] = f"boundary {count - 1}"
-        del lines[bpos + 1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError):
-            load_mesh(path)
 
 
 class TestInterfaces:

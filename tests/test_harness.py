@@ -31,7 +31,10 @@ TINY = dict(
 
 @pytest.fixture(scope="module")
 def tiny_model():
-    return train_model(ExperimentConfig(**TINY))
+    cfg = ExperimentConfig(**TINY)
+    parts = build_component_set(cfg)
+    snapshots, _ = generate_snapshots(cfg, parts)
+    return train_model(cfg, parts, snapshots)
 
 
 class TestInflowSampling:
@@ -290,10 +293,6 @@ class TestCli:
 
         cfg_path = tiny_cli_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["mesh-gen", "--kind", "square", "--n", "6", "--out", str(tmp_path / "m.txt")]) == 0
-        from cromflow.geometry import load_mesh
-
-        load_mesh(tmp_path / "m.txt")
         assert main(["sample", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert main(["train-eqp", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
@@ -316,8 +315,43 @@ class TestCli:
 
         cfg_path = tiny_cli_config(tmp_path)
         out = tmp_path / "study"
-        assert main(["study", "scaling", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        common = ["--config", str(cfg_path), "--out-dir", str(out)]
+        assert main(["train", *common]) == 0
+        assert main(["train-eqp", *common]) == 0
+        assert main(["study", "scaling", *common]) == 0
         assert (out / "results.csv").exists()
+
+    def test_study_reads_the_stored_model(self, tiny_artifacts, tmp_path, monkeypatch):
+        from cromflow import cli, harness
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study retrained what train and train-eqp wrote")
+
+        for name in ("generate_snapshots", "build_pod_basis", "project_linear"):
+            monkeypatch.setattr(harness, name, forbidden)
+        out, common = copy_artifacts(tiny_artifacts, tmp_path)
+        assert cli.main(["study", "scaling", *common]) == 0
+        rows = read_csv(out / "results.csv")
+        assert rows and all(row["rom_eqp_converged"] in ("True", "False") for row in rows)
+
+    def test_study_refuses_snapshots_of_another_seed(self, tiny_artifacts, tmp_path):
+        from cromflow._binio import FormatError
+        from cromflow.cli import main
+
+        _, common = copy_artifacts(tiny_artifacts, tmp_path)
+        with pytest.raises(
+            FormatError, match=r"snapshots_empty\.bin: trained with seed=3, the config has 4"
+        ):
+            main(["study", "scaling", *common, "--seed", "4"])
+
+    def test_study_without_artifacts_names_the_missing_file(self, tmp_path):
+        from cromflow.cli import main
+
+        out = tmp_path / "empty"
+        out.mkdir()
+        argv = ["study", "scaling", "--config", str(tiny_cli_config(tmp_path)), "--out-dir", str(out)]
+        with pytest.raises(FileNotFoundError, match=r"snapshots_empty\.bin"):
+            main(argv)
 
     @pytest.mark.parametrize(
         "which, flag, column, values, backends",
@@ -331,8 +365,9 @@ class TestCli:
 
         cfg_path = tiny_cli_config(tmp_path)
         out = tmp_path / which
-        argv = ["study", which, "--config", str(cfg_path), "--out-dir", str(out), flag, *values]
-        assert main(argv) == 0
+        common = ["--config", str(cfg_path), "--out-dir", str(out)]
+        assert main(["train", *common]) == 0
+        assert main(["study", which, *common, flag, *values]) == 0
         rows = read_csv(out / "results.csv")
         # one test case per value, on the study's 4x4 array
         assert [row[column] for row in rows] == values
@@ -430,21 +465,21 @@ def tiny_artifacts(tmp_path_factory):
     return out
 
 
+def copy_artifacts(tiny_artifacts, tmp_path, name="out"):
+    """A copy of the tiny artifacts and the arguments naming it."""
+    out = tmp_path / name
+    shutil.copytree(tiny_artifacts, out)
+    return out, ["--config", str(tiny_cli_config(tmp_path)), "--out-dir", str(out)]
+
+
 class TestStoredModel:
     """``predict-rom`` reads the stored reduced model and refuses a stale one."""
-
-    @staticmethod
-    def copy(tiny_artifacts, tmp_path, name="out"):
-        """A copy of the tiny artifacts and the arguments naming it."""
-        out = tmp_path / name
-        shutil.copytree(tiny_artifacts, out)
-        return out, ["--config", str(tiny_cli_config(tmp_path)), "--out-dir", str(out)]
 
     def test_predict_rom_builds_no_full_order_operator(self, tiny_artifacts, tmp_path, monkeypatch):
         from cromflow import cli, geometry, harness, reduction, weakforms
         from cromflow.rom import load_rom_solution
 
-        out, common = self.copy(tiny_artifacts, tmp_path)
+        out, common = copy_artifacts(tiny_artifacts, tmp_path)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("predict-rom built or projected full-order operators")
@@ -471,7 +506,7 @@ class TestStoredModel:
         monkeypatch.setattr(harness, "build_component_set", forbidden)
         monkeypatch.setattr(weakforms, "build_component_operators", forbidden)
         monkeypatch.setattr(fom, "assemble_global", forbidden)
-        out, common = self.copy(tiny_artifacts, tmp_path)
+        out, common = copy_artifacts(tiny_artifacts, tmp_path)
         argv = ["predict-rom", *common, "--grid-size", "2", "--backend", "tensorial", "--vtk"]
         assert cli.main(argv) == 0
         text = (out / "rom_solution.vtk").read_text()
@@ -481,7 +516,7 @@ class TestStoredModel:
         from cromflow._binio import FormatError
         from cromflow.cli import main
 
-        out, _ = self.copy(tiny_artifacts, tmp_path)
+        out, _ = copy_artifacts(tiny_artifacts, tmp_path)
         cfg_path = tiny_cli_config(tmp_path)
         cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "reynolds": 30.0}))
         argv = ["predict-rom", "--config", str(cfg_path), "--out-dir", str(out), "--grid-size", "2"]
@@ -495,7 +530,7 @@ class TestStoredModel:
         from cromflow._binio import FormatError
         from cromflow.cli import main
 
-        out, common = self.copy(tiny_artifacts, tmp_path)
+        out, common = copy_artifacts(tiny_artifacts, tmp_path)
         # train reuses stored snapshots, so new ones come first
         assert main(["sample", *common, "--seed", "4"]) == 0
         assert main(["train", *common, "--seed", "4"]) == 0
@@ -509,7 +544,7 @@ class TestStoredModel:
             main(predict + ["--backend", "eqp"])
 
         # the old model under the new basis of one component
-        old, common = self.copy(tiny_artifacts, tmp_path, "old")
+        old, common = copy_artifacts(tiny_artifacts, tmp_path, "old")
         shutil.copy(out / "basis_square.bin", old / "basis_square.bin")
         with pytest.raises(
             FormatError,
