@@ -41,7 +41,7 @@ class CellBlockMatrix:
         n = sum(len(rows) for rows in self.nodes)
         return n, n
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         xs = [x[rows] for rows in self.nodes]
         ys = [np.zeros(len(rows)) for rows in self.nodes]
         for (i, j), blk in self.blocks.items():

@@ -181,10 +181,11 @@ def cmd_study(args):
     if args.which == "scaling":
         path = harness.run_scaling_study(model, args.out_dir)
     elif args.which == "supremizer":
-        z_values = args.z_values or [0, cfg.r_p // 2, cfg.r_p]
+        # the defaults once each, in order
+        z_values = args.z_values or list(dict.fromkeys([0, cfg.r_p // 2, cfg.r_p]))
         path = harness.run_supremizer_ablation(model, args.out_dir, z_values)
     else:
-        r_values = args.r_values or [10, 20, cfg.basis_size]
+        r_values = args.r_values or list(dict.fromkeys([10, 20, cfg.basis_size]))
         path = harness.run_backend_comparison(model, args.out_dir, r_values)
     print(f"study results -> {path}")
 

@@ -3,12 +3,14 @@
 One block layout serves both the full-order and the reduced system: each
 subdomain owns a contiguous range of velocity and pressure rows, and the
 per-component blocks (domain, weak Dirichlet, interface configurations) are
-placed at those offsets.  At full order the blocks are the sparse component
-operators, summed into sparse matrices; in the reduced system they are their
-dense projections, summed into dense cell blocks.  The steady nonlinear
-problem is solved by one Newton-Raphson loop; each system supplies its
-Newton matrix and a direct factorization of it.  The full-order system uses
-a sparse LU and starts from a Stokes solve.
+placed at those offsets, once, into one linear saddle operator over the
+whole stacked state.  At full order the blocks are the sparse component
+operators, summed into one sparse matrix; in the reduced system they are
+their dense projections, summed into dense cell blocks.  The steady
+nonlinear problem is solved by one Newton-Raphson loop on one residual;
+each system supplies its Newton matrix (the saddle operator plus the
+advection Jacobian) and a direct factorization of it.  The full-order
+system uses a sparse LU and starts from a Stokes solve.
 """
 
 from __future__ import annotations
@@ -66,13 +68,17 @@ class BlockSystem:
 
     Subdomain m owns velocity rows ``off_u[m]:off_u[m + 1]`` and pressure
     rows ``off_p[m]:off_p[m + 1]``; the stacked state is all velocities, all
-    pressures, then the multiplier if any.  The pressure block of the saddle
-    matrix is ``-C``: empty at full order, the pressure-gradient penalty in
-    the reduced system.  Without an outflow side the mean pressure is fixed
-    by a Lagrange multiplier, the last unknown.  Subclasses store the linear
-    blocks (their ``block_sink`` sums the placements of
-    :func:`assemble_blocks`) and supply the residual, the advection term,
-    the Newton matrix and its factorization.
+    pressures, then the multiplier if any.  ``saddle`` is the linear part of
+    the system over that state, ``[[K, B^T, m^T], [B, -C, 0], [m, 0, 0]]``:
+    the pressure block ``-C`` is empty at full order and the
+    pressure-gradient penalty in the reduced system; without an outflow side
+    the mean pressure ``m`` is fixed by a Lagrange multiplier, the last
+    unknown, and otherwise its row and column are absent.  Subclasses store
+    ``saddle`` in their own format, which their ``block_sink`` builds from
+    the placements of :func:`assemble_blocks` (a sparse CSC matrix at full
+    order, a :class:`~cromflow.blocklu.CellBlockMatrix` in the reduced
+    system), and supply the advection term, the Newton matrix and its
+    factorization.
     """
 
     grid: GridConfig
@@ -81,10 +87,9 @@ class BlockSystem:
     off_p: np.ndarray
     n_u: int
     n_p: int
-    rhs_u: np.ndarray
-    rhs_p: np.ndarray
     pressure_constraint: bool
-    mean_row: Optional[np.ndarray]
+    saddle: object                      # the linear operator; ``saddle @ x``
+    rhs: np.ndarray                     # loads over the stacked state
     assembly_time: float = 0.0
 
     def slice_u(self, m: int) -> slice:
@@ -100,34 +105,43 @@ class BlockSystem:
     def _split(self, x: np.ndarray):
         return x[: self.n_u], x[self.n_u : self.n_u + self.n_p]
 
-    def _residual_vector(self, x: np.ndarray) -> np.ndarray:
-        u, p = self._split(x)
-        r_u, r_p = self.residual(u, p)
-        if self.pressure_constraint:
-            r_p = r_p + x[-1] * self.mean_row
-            return np.concatenate([r_u, r_p, [self.mean_row @ p]])
-        return np.concatenate([r_u, r_p])
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """``saddle @ x + [N(u); 0] - rhs`` at the stacked state ``x``."""
+        r = self.saddle @ x
+        r[: self.n_u] += self.advection_value(x[: self.n_u])
+        return r - self.rhs
 
 
 class _TripletSink:
-    """Block placements summed into the sparse matrices ``K``, ``B`` and ``C``."""
+    """Block placements summed into the sparse saddle matrix.
 
-    def __init__(self, off_u, off_p):
-        self._offsets = {"K": (off_u, off_u), "B": (off_p, off_u), "C": (off_p, off_p)}
-        self._triplets = {
-            name: Triplets((int(rows[-1]), int(cols[-1])))
-            for name, (rows, cols) in self._offsets.items()
-        }
+    ``B`` and the multiplier's row are gathered apart and mirrored once at
+    the end, so each of their blocks is placed once.
+    """
+
+    def __init__(self, off_u, off_p, n_dof):
+        self._u = off_u
+        self._p = off_u[-1] + off_p
+        self._diagonal = Triplets((n_dof, n_dof))   # K and -C
+        self._border = Triplets((n_dof, n_dof))     # B and the multiplier's row
 
     def add(self, name: str, mat, m: int, n: int) -> None:
         """Block ``mat`` of matrix ``name`` at rows of subdomain m, columns of n."""
-        rows, cols = self._offsets[name]
-        self._triplets[name].add(mat, rows[m], cols[n])
+        if name == "K":
+            self._diagonal.add(mat, self._u[m], self._u[n])
+        elif name == "B":
+            self._border.add(mat, self._p[m], self._u[n])
+        else:
+            self._diagonal.add(-mat, self._p[m], self._p[n])
 
-    def fields(self) -> dict:
-        C = self._triplets["C"].tocsr()
-        C.eliminate_zeros()
-        return {"K": self._triplets["K"].tocsr(), "B": self._triplets["B"].tocsr(), "C": C}
+    def add_mean(self, row: np.ndarray, m: int) -> None:
+        """The multiplier's row over the pressures of subdomain m (and its column)."""
+        self._border.add(row[None, :], self._border.shape[0] - 1, self._p[m])
+
+    def saddle(self) -> sp.csc_matrix:
+        # the sum drops the exact zeros that the triplets keep
+        border = self._border.tocsr()
+        return (self._diagonal.tocsr() + border + border.T).tocsc()
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -140,7 +154,7 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     """Place per-component and per-configuration blocks at subdomain offsets.
 
     Every block goes to ``cls.block_sink``, which sums the placements into
-    the system's own storage of ``K``, ``B`` and ``C``.
+    the system's own storage of the saddle matrix.
 
     ``local`` maps component names to :class:`ComponentOperators` or their
     reduced projections; either carries ``K``, ``B``, ``C`` (empty at full
@@ -149,7 +163,7 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     ``forcing_load``, which only the full-order operators have.
     ``interface_blocks`` maps (ref_m, ref_n, orientation) to blocks keyed
     "mm".."nn"; a missing needed configuration is an error.  Returns
-    ``cls`` built from the sink's fields plus ``fields``.
+    ``cls`` built from the sink's saddle matrix plus ``fields``.
     """
     grid.validate_components(local)
     M = grid.n_subdomains
@@ -157,20 +171,25 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     off_u = _offsets([ops.K.shape[0] for ops in parts])
     off_p = _offsets([ops.B.shape[0] for ops in parts])
     n_u, n_p = int(off_u[-1]), int(off_p[-1])
+    pressure_constraint = not any(grid.bc[s].kind == "neumann" for s in SIDES)
+    n_dof = n_u + n_p + (1 if pressure_constraint else 0)
 
-    sink = cls.block_sink(off_u, off_p)
-    rhs_u = np.zeros(n_u)
-    rhs_p = np.zeros(n_p)
-    any_neumann = any(grid.bc[s].kind == "neumann" for s in SIDES)
+    sink = cls.block_sink(off_u, off_p, n_dof)
+    rhs = np.zeros(n_dof)
 
     for m, ops in enumerate(parts):
+        # views of the loads on subdomain m's velocity and pressure rows
+        load_u = rhs[off_u[m] : off_u[m + 1]]
+        load_p = rhs[n_u + off_p[m] : n_u + off_p[m + 1]]
         sink.add("K", ops.K, m, m)
         sink.add("B", ops.B, m, m)
         sink.add("C", ops.C, m, m)
+        if pressure_constraint:
+            sink.add_mean(ops.pressure_mean, m)
         origin = grid.cell_origin(m)
         col, row = m % grid.cols, m // grid.cols
         if grid.forcing is not None:
-            rhs_u[off_u[m] : off_u[m + 1]] += ops.forcing_load(grid.forcing, origin)
+            load_u += ops.forcing_load(grid.forcing, origin)
         for side in SIDES:
             if not _SIDE_OF_CELL[side](col, row, grid):
                 continue
@@ -179,12 +198,10 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
                 sink.add("K", ops.K_di[side], m, m)
                 sink.add("B", ops.B_di[side], m, m)
                 lu, lp = ops.loads[side].dirichlet_loads(bc.velocity, origin)
-                rhs_u[off_u[m] : off_u[m + 1]] += lu
-                rhs_p[off_p[m] : off_p[m + 1]] += lp
+                load_u += lu
+                load_p += lp
             elif bc.velocity is not None:
-                rhs_u[off_u[m] : off_u[m + 1]] += ops.loads[side].neumann_load(
-                    bc.velocity, origin
-                )
+                load_u += ops.loads[side].neumann_load(bc.velocity, origin)
         if "O" in ops.K_di:
             sink.add("K", ops.K_di["O"], m, m)
             sink.add("B", ops.B_di["O"], m, m)  # no-slip walls: zero loads
@@ -201,9 +218,6 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
                 sink.add("K", blocks.K[s + t], cell[s], cell[t])
                 sink.add("B", blocks.B[s + t], cell[s], cell[t])
 
-    mean_row = None
-    if not any_neumann:
-        mean_row = np.concatenate([ops.pressure_mean for ops in parts])
     return cls(
         grid=grid,
         interfaces=interfaces,
@@ -211,11 +225,9 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
         off_p=off_p,
         n_u=n_u,
         n_p=n_p,
-        rhs_u=rhs_u,
-        rhs_p=rhs_p,
-        pressure_constraint=not any_neumann,
-        mean_row=mean_row,
-        **sink.fields(),
+        pressure_constraint=pressure_constraint,
+        saddle=sink.saddle(),
+        rhs=rhs,
         **fields,
     )
 
@@ -236,13 +248,14 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
     (``newton_matrix(advection_jacobian(u))``) and a factorization of it
     (``factorize``); ``t_start`` and ``t_fact`` are the solve's start time
     and the factorization seconds it has spent before the loop.  A singular
-    factorization (``RuntimeError``) or a non-finite residual ends the loop
-    with a non-converged report.  Returns (u, p, report).
+    factorization (``RuntimeError``), a non-finite residual or ``max_iter``
+    steps without reaching the tolerance end the loop with a non-converged
+    report whose ``message`` says which.  Returns (u, p, report).
     """
     times = dict.fromkeys(("jacobian", "saddle", "factorization", "solve", "residual"), 0.0)
     times["factorization"] = t_fact
     with _timed(times, "residual"):
-        r = system._residual_vector(x)
+        r = system.residual(x)
     history = [float(np.linalg.norm(r))]
     step_norms = []
     target = max(tol_rel * history[0], tol_abs)
@@ -266,7 +279,7 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
             x = x + step
         step_norms.append(float(np.linalg.norm(step)))
         with _timed(times, "residual"):
-            r = system._residual_vector(x)
+            r = system.residual(x)
         history.append(float(np.linalg.norm(r)))
         it += 1
         if history[-1] <= target:
@@ -274,6 +287,8 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
         elif not np.isfinite(history[-1]):
             message = "residual diverged"
             break
+    if not converged and not message:
+        message = f"no convergence in {it} iterations (residual {history[-1]:.3e})"
     u, p = system._split(x)
     report = SolveReport(
         newton_iterations=it,
@@ -294,19 +309,10 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
 class GlobalFomSystem(BlockSystem):
     block_sink: ClassVar = _TripletSink
 
-    K: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
     operators: Mapping                  # component name -> ComponentOperators
 
     def ops_of(self, m: int) -> ComponentOperators:
         return self.operators[self.grid.component_name(m)]
-
-    def residual(self, u: np.ndarray, p: np.ndarray):
-        """Momentum and continuity residual blocks at a given state."""
-        r_u = self.K @ u + self.B.T @ p + self.advection_value(u) - self.rhs_u
-        r_p = self.B @ u - self.C @ p - self.rhs_p
-        return r_u, r_p
 
     def advection_value(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
@@ -315,23 +321,18 @@ class GlobalFomSystem(BlockSystem):
             out[sl] = self.ops_of(m).adv.value(u[sl])
         return out
 
-    def advection_jacobian(self, u: np.ndarray) -> sp.csr_matrix:
+    def advection_jacobian(self, u: np.ndarray) -> sp.csc_matrix:
+        """The advection Jacobian over the stacked state: zero outside the
+        velocity block."""
         blocks = []
         for m in range(self.grid.n_subdomains):
             blocks.append(self.ops_of(m).adv.jacobian(u[self.slice_u(m)]))
-        return sp.block_diag(blocks, format="csr")
+        jac = sp.block_diag(blocks, format="csc")
+        jac.resize(self.saddle.shape)
+        return jac
 
-    def _saddle(self, A_uu: sp.spmatrix) -> sp.csc_matrix:
-        if self.pressure_constraint:
-            m = sp.csr_matrix(self.mean_row[None, :])
-            return sp.bmat(
-                [[A_uu, self.B.T, None], [self.B, -self.C, m.T], [None, m, None]],
-                format="csc",
-            )
-        return sp.bmat([[A_uu, self.B.T], [self.B, -self.C]], format="csc")
-
-    def newton_matrix(self, adv: sp.csr_matrix) -> sp.csc_matrix:
-        return self._saddle(self.K + adv)
+    def newton_matrix(self, adv: sp.csc_matrix) -> sp.csc_matrix:
+        return self.saddle + adv
 
     def factorize(self, mat: sp.csc_matrix):
         return saddle_lu(mat)
@@ -354,20 +355,17 @@ def assemble_global(
         GlobalFomSystem, grid, operators, interface_blocks, operators=operators
     )
     if system.pressure_constraint:
-        flux = float(system.rhs_p.sum())
-        if abs(flux) > 1e-9 * max(float(np.abs(system.rhs_p).sum()), 1.0):
+        load_p = system._split(system.rhs)[1]
+        flux = float(load_p.sum())
+        if abs(flux) > 1e-9 * max(float(np.abs(load_p).sum()), 1.0):
             raise ValueError(f"incompatible Dirichlet data: net boundary flux {flux:.3e} != 0")
     system.assembly_time = time.perf_counter() - t0
     return system
 
 
 def _solve_stokes_full(system: GlobalFomSystem) -> np.ndarray:
-    mat = system._saddle(system.K)
-    rhs = np.concatenate([system.rhs_u, system.rhs_p])
-    if system.pressure_constraint:
-        rhs = np.concatenate([rhs, [0.0]])
-    lu = saddle_lu(mat)
-    x = lu.solve(rhs)
+    mat, rhs = system.saddle, system.rhs
+    x = saddle_lu(mat).solve(rhs)
     res = np.linalg.norm(mat @ x - rhs)
     if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
         raise RuntimeError(f"Stokes solve inaccurate: residual {res:.3e}")

@@ -393,7 +393,7 @@ def _test_cases(cfg: ExperimentConfig, rng: np.random.Generator, L: int) -> list
 
 def run_scaling_study(model: TrainedModel, out_dir) -> Path:
     """Errors and timings of both backends over grid sizes; one row per
-    (size, test case)."""
+    (size, test case), written to ``scaling.csv`` in ``out_dir``."""
     cfg = model.cfg
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -415,13 +415,14 @@ def run_scaling_study(model: TrainedModel, out_dir) -> Path:
                 case,
                 {b: row.get(f"vel_err_{b}") for b in (TENSORIAL, EQP)},
             )
-    path = out_dir / "results.csv"
+    path = out_dir / "scaling.csv"
     _write_csv(path, rows)
     return path
 
 
 def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4) -> Path:
-    """Re-enrich the trained bases per supremizer count and compare errors.
+    """Re-enrich the trained bases per supremizer count and compare errors;
+    one row per (Z, test case), written to ``supremizer.csv`` in ``out_dir``.
 
     Each row also records ``B_sigma_min_l2``, the smallest singular value of
     the case's assembled reduced divergence matrix in l2 coordinates (the
@@ -451,13 +452,14 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
                 row["pres_err_tensorial"],
                 row["B_sigma_min_l2"],
             )
-    path = out_dir / "results.csv"
+    path = out_dir / "supremizer.csv"
     _write_csv(path, rows)
     return path
 
 
 def run_backend_comparison(model: TrainedModel, out_dir, r_values, grid_size=4) -> Path:
-    """Tensorial vs EQP at several basis sizes on identical test sets.
+    """Tensorial vs EQP at several basis sizes on identical test sets; one
+    row per (R, test case), written to ``backend.csv`` in ``out_dir``.
 
     Bases are retrained by truncating the stored snapshots at each R.
     """
@@ -482,6 +484,6 @@ def run_backend_comparison(model: TrainedModel, out_dir, r_values, grid_size=4) 
                 case,
                 row["backend_vel_diff"],
             )
-    path = out_dir / "results.csv"
+    path = out_dir / "backend.csv"
     _write_csv(path, rows)
     return path

@@ -73,21 +73,25 @@ class _CellBlockSink:
     """Block placements summed into one dense saddle block per cell pair.
 
     The block of cells (m, n) is ``[[K_mn, B_nm^T], [B_mn, -C_mn]]`` in the
-    order (velocity modes, pressure modes) of each cell.
+    order (velocity modes, pressure modes) of each cell.  The multiplier,
+    where present, is one more node, the last, bordering each cell's
+    pressure modes.
     """
 
-    def __init__(self, off_u, off_p):
+    def __init__(self, off_u, off_p, n_dof):
         self._r_u = np.diff(off_u)
         n_u = off_u[-1]
-        self._cells = [
+        self._nodes = [
             np.concatenate([np.arange(u0, u1), n_u + np.arange(p0, p1)])
             for u0, u1, p0, p1 in zip(off_u[:-1], off_u[1:], off_p[:-1], off_p[1:])
         ]
+        if n_dof > n_u + off_p[-1]:
+            self._nodes.append(np.array([n_dof - 1]))
         self._blocks = {}
 
     def _block(self, m: int, n: int) -> np.ndarray:
         if (m, n) not in self._blocks:
-            self._blocks[m, n] = np.zeros((len(self._cells[m]), len(self._cells[n])))
+            self._blocks[m, n] = np.zeros((len(self._nodes[m]), len(self._nodes[n])))
         return self._blocks[m, n]
 
     def add(self, name: str, mat, m: int, n: int) -> None:
@@ -101,16 +105,20 @@ class _CellBlockSink:
         else:
             self._block(m, n)[rm:, rn:] -= mat
 
-    def fields(self) -> dict:
-        return {"saddle": CellBlockMatrix(self._cells, self._blocks)}
+    def add_mean(self, row: np.ndarray, m: int) -> None:
+        """The multiplier's row over the pressure modes of cell m, and its column."""
+        last, rm = len(self._nodes) - 1, self._r_u[m]
+        self._block(last, m)[0, rm:] += row
+        self._block(m, last)[rm:, 0] += row
+
+    def saddle(self) -> CellBlockMatrix:
+        return CellBlockMatrix(self._nodes, self._blocks)
 
 
 @dataclass(kw_only=True)
 class GlobalRomSystem(BlockSystem):
     block_sink: ClassVar = _CellBlockSink
 
-    # the linear saddle matrix without the multiplier; node m is cell m
-    saddle: CellBlockMatrix
     reduced: Mapping                     # component name -> ReducedComponentOperators
     backend: str
     fom_off_u: np.ndarray
@@ -135,12 +143,6 @@ class GlobalRomSystem(BlockSystem):
             groups.append((red, ms, self.off_u[ms][:, None] + np.arange(red.r_u)))
         return groups
 
-    def residual(self, u_hat: np.ndarray, p_hat: np.ndarray):
-        """Momentum and continuity residual blocks at a given state."""
-        r = self.saddle.matvec(np.concatenate([u_hat, p_hat]))
-        r_u, r_p = self._split(r)
-        return r_u + self.advection_value(u_hat) - self.rhs_u, r_p - self.rhs_p
-
     def advection_value(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
         for red, _, rows in self._type_groups:
@@ -162,31 +164,14 @@ class GlobalRomSystem(BlockSystem):
                 blocks[m] = block
         return blocks
 
-    @cached_property
-    def _multiplier(self) -> dict:
-        """The multiplier's node (the last) and its border blocks with each cell."""
-        last = self.grid.n_subdomains
-        border = {(last, last): np.zeros((1, 1))}
-        for m in range(last):
-            col = np.zeros((len(self.saddle.nodes[m]), 1))
-            col[self.red_of(m).r_u :, 0] = self.mean_row[self.slice_p(m)]
-            border[m, last] = col
-            border[last, m] = col.T
-        return border
-
     def newton_matrix(self, adv: list) -> CellBlockMatrix:
-        """The saddle blocks with each cell's Jacobian added, and the
-        multiplier as one more node if the grid has one."""
+        """The saddle blocks with each cell's Jacobian added."""
         blocks = dict(self.saddle.blocks)
         for m, jac in enumerate(adv):
             diag = blocks[m, m].copy()
             diag[: jac.shape[0], : jac.shape[1]] += jac
             blocks[m, m] = diag
-        nodes = self.saddle.nodes
-        if self.pressure_constraint:
-            blocks.update(self._multiplier)
-            nodes = nodes + [np.array([self.n_dof - 1])]
-        return CellBlockMatrix(nodes, blocks)
+        return CellBlockMatrix(self.saddle.nodes, blocks)
 
     def factorize(self, mat: CellBlockMatrix) -> BlockLU:
         """Block LU over the cells in nested-dissection order; the
@@ -198,7 +183,7 @@ class GlobalRomSystem(BlockSystem):
 
     def divergence_sigma_min(self) -> float:
         """Smallest singular value of the assembled reduced B in l2 coordinates."""
-        B = self.saddle.toarray()[self.n_u :, : self.n_u]
+        B = self.saddle.toarray()[self.n_u : self.n_u + self.n_p, : self.n_u]
         return float(np.linalg.svd(B, compute_uv=False)[-1])
 
 

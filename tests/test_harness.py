@@ -270,7 +270,7 @@ class TestSelfConsistency:
             assert worst <= 10.0 * bound
 
 
-def tiny_cli_config(tmp_path):
+def tiny_cli_config(tmp_path, **changes):
     path = tmp_path / "cfg.json"
     path.write_text(
         json.dumps(
@@ -281,6 +281,7 @@ def tiny_cli_config(tmp_path):
                 "tests_per_size": 1,
                 "predict_sizes": [2],
                 "seed": 3,
+                **changes,
             }
         )
     )
@@ -319,7 +320,7 @@ class TestCli:
         assert main(["train", *common]) == 0
         assert main(["train-eqp", *common]) == 0
         assert main(["study", "scaling", *common]) == 0
-        assert (out / "results.csv").exists()
+        assert (out / "scaling.csv").exists()
 
     def test_study_reads_the_stored_model(self, tiny_artifacts, tmp_path, monkeypatch):
         from cromflow import cli, harness
@@ -331,7 +332,7 @@ class TestCli:
             monkeypatch.setattr(harness, name, forbidden)
         out, common = copy_artifacts(tiny_artifacts, tmp_path)
         assert cli.main(["study", "scaling", *common]) == 0
-        rows = read_csv(out / "results.csv")
+        rows = read_csv(out / "scaling.csv")
         assert rows and all(row["rom_eqp_converged"] in ("True", "False") for row in rows)
 
     def test_study_refuses_snapshots_of_another_seed(self, tiny_artifacts, tmp_path):
@@ -368,7 +369,7 @@ class TestCli:
         common = ["--config", str(cfg_path), "--out-dir", str(out)]
         assert main(["train", *common]) == 0
         assert main(["study", which, *common, flag, *values]) == 0
-        rows = read_csv(out / "results.csv")
+        rows = read_csv(out / f"{which}.csv")
         # one test case per value, on the study's 4x4 array
         assert [row[column] for row in rows] == values
         for row in rows:
@@ -380,6 +381,27 @@ class TestCli:
             assert all("backend_vel_diff" in row for row in rows)
         else:
             assert "rom_eqp_converged" not in rows[0]
+
+    def test_studies_in_one_directory_keep_their_files(self, tiny_artifacts, tmp_path):
+        from cromflow.cli import main
+
+        out, common = copy_artifacts(tiny_artifacts, tmp_path)
+        assert main(["study", "scaling", *common]) == 0
+        scaling = (out / "scaling.csv").read_text()
+        assert main(["study", "supremizer", *common, "--z-values", "0"]) == 0
+        assert (out / "scaling.csv").read_text() == scaling
+        assert [row["Z"] for row in read_csv(out / "supremizer.csv")] == ["0"]
+
+    def test_default_sweep_values_run_once_each(self, tmp_path):
+        from cromflow.cli import main
+
+        # r_p // 2 == 0: the default Z values 0, r_p // 2, r_p hold 0 twice
+        cfg_path = tiny_cli_config(tmp_path, pressure_basis_size=1)
+        common = ["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+        assert main(["train", *common]) == 0
+        assert main(["study", "supremizer", *common]) == 0
+        rows = read_csv(tmp_path / "out" / "supremizer.csv")
+        assert [row["Z"] for row in rows] == ["0", "1"]
 
     def test_snapshots_of_another_mesh_size_rejected(self, tmp_path):
         from cromflow.cli import main

@@ -47,6 +47,11 @@ def assert_singular_solve_reported(system):
     assert_phases_within_total(report)
 
 
+def residual_blocks(system, u, p):
+    """Momentum and continuity residuals of a system without a multiplier."""
+    return system._split(system.residual(np.concatenate([u, p])))
+
+
 def channel_profile(xy):
     return np.stack([xy[:, 1] * (1 - xy[:, 1]), np.zeros(len(xy))], axis=-1)
 
@@ -166,16 +171,47 @@ class TestAssembly:
         basis = identity_basis(space)
         reduced, riface = project_linear(ops, blocks, {"empty": basis})
         reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
-        grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
+        all_dirichlet = {s: SideBC("dirichlet", channel_profile) for s in "LRBT"}
+        for outflow, bc in ((True, channel_bc()), (False, all_dirichlet)):
+            grid = GridConfig(1, 2, [["empty", "empty"]], NU, bc)
+            fom_sys = assemble_global(grid, ops, blocks)
+            rom_sys = assemble_global_rom(grid, reduced, riface)
+            assert rom_sys.pressure_constraint == fom_sys.pressure_constraint == (not outflow)
+            assert rom_sys.n_dof == fom_sys.n_dof
+            n, n_p = rom_sys.n_u, rom_sys.n_p
+            saddle = rom_sys.saddle.toarray()
+            fom_saddle = fom_sys.saddle.toarray()
+            K, B = fom_saddle[:n, :n], fom_saddle[n : n + n_p, :n]
+            assert np.abs(saddle[:n, :n] - K).max() < 1e-12
+            assert np.abs(saddle[n : n + n_p, :n] - B).max() < 1e-12
+            assert np.abs(saddle[:n, n : n + n_p] - B.T).max() < 1e-12
+            # the multiplier's row and column included
+            assert np.abs(saddle - fom_saddle).max() < 1e-12
+            assert np.abs(rom_sys.rhs - fom_sys.rhs).max() < 1e-12
+            x = np.random.default_rng(5).standard_normal(rom_sys.n_dof)
+            r_fom = fom_sys.residual(x)
+            assert np.abs(rom_sys.residual(x) - r_fom).max() < 1e-12 * np.abs(r_fom).max()
+            if not outflow:
+                assert r_fom[-1] != 0.0  # the multiplier's row reads the pressures
+
+    def test_divergence_sigma_min_is_that_of_the_divergence_block(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 8, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        bc = {s: SideBC("dirichlet", channel_profile) for s in "LRBT"}
+        grid = GridConfig(1, 2, [["empty", "empty"]], NU, bc)
         fom_sys = assemble_global(grid, ops, blocks)
         rom_sys = assemble_global_rom(grid, reduced, riface)
-        n = rom_sys.n_u
-        saddle = rom_sys.saddle.toarray()
-        assert np.abs(saddle[:n, :n] - fom_sys.K).max() < 1e-12
-        assert np.abs(saddle[n:, :n] - fom_sys.B).max() < 1e-12
-        assert np.abs(saddle[:n, n:] - fom_sys.B.T).max() < 1e-12
-        assert np.abs(rom_sys.rhs_u - fom_sys.rhs_u).max() < 1e-12
-        assert np.abs(rom_sys.rhs_p - fom_sys.rhs_p).max() < 1e-12
+        assert rom_sys.pressure_constraint
+        # the reduced divergence block, projected from the full-order one
+        n, n_p = fom_sys.n_u, fom_sys.n_p
+        B = fom_sys.saddle[n : n + n_p, :n].toarray()
+        pu = np.kron(np.eye(2), basis.phi_u)
+        pp = np.kron(np.eye(2), basis.phi_p)
+        sigma = np.linalg.svd(pp.T @ B @ pu, compute_uv=False)[-1]
+        assert sigma > 1e-3
+        assert abs(rom_sys.divergence_sigma_min() - sigma) <= 1e-10 * sigma
 
     def test_missing_backend_data_raises(self, parts):
         space, ops, blocks = parts
@@ -320,8 +356,24 @@ class TestSolve:
         grid = GridConfig(1, 2, [["empty", "empty"]], NU, bc)
         system = assemble_global_rom(grid, reduced, riface)
         # a multiplier that constrains nothing: its pivot, the last, is zero
-        system.mean_row[:] = 0.0
+        last = grid.n_subdomains
+        for (m, n), blk in system.saddle.blocks.items():
+            if last in (m, n):
+                blk[:] = 0.0
         assert_singular_solve_reported(system)
+
+    def test_max_iter_reached_is_explained(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 8, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
+        system = assemble_global_rom(grid, reduced, riface)
+        uh, ph, report = solve_rom_newton(system, tol_rel=1e-14, tol_abs=1e-16, max_iter=1)
+        assert not report.converged
+        assert report.newton_iterations == 1
+        residual = report.residual_history[-1]
+        assert report.message == f"no convergence in 1 iterations (residual {residual:.3e})"
 
     def test_zero_inflow_zero_state(self, parts):
         space, ops, blocks = parts
@@ -355,9 +407,9 @@ class TestSolve:
             uh = rng.standard_normal(rom_sys.n_u)
             ph = rng.standard_normal(rom_sys.n_p)
             lifted = lift(rom_sys, uh, ph)
-            r_u, r_p = fom_sys.residual(lifted.u, lifted.p)
+            r_u, r_p = residual_blocks(fom_sys, lifted.u, lifted.p)
             pr_u, pr_p = project_state(rom_sys, r_u, r_p)
-            rr_u, rr_p = rom_sys.residual(uh, ph)
+            rr_u, rr_p = residual_blocks(rom_sys, uh, ph)
             scale = max(np.abs(rr_u).max(), np.abs(rr_p).max(), 1.0)
             assert np.abs(rr_u - pr_u).max() < 1e-10 * scale
             assert np.abs(rr_p - pr_p).max() < 1e-10 * scale
@@ -379,8 +431,8 @@ class TestSolve:
         uh = rng.standard_normal(rom_sys.n_u)
         ph = rng.standard_normal(rom_sys.n_p)
         lifted = lift(rom_sys, uh, ph)
-        pr_u, pr_p = project_state(rom_sys, *fom_sys.residual(lifted.u, lifted.p))
-        rr_u, rr_p = rom_sys.residual(uh, ph)
+        pr_u, pr_p = project_state(rom_sys, *residual_blocks(fom_sys, lifted.u, lifted.p))
+        rr_u, rr_p = residual_blocks(rom_sys, uh, ph)
         assert np.abs(rr_u - pr_u).max() < 1e-10
         assert np.abs(rr_p - (pr_p - C @ ph)).max() < 1e-10
 
@@ -420,16 +472,12 @@ class TestBlockFactorization:
         assert system.pressure_constraint == (not outflow)
         rng = np.random.default_rng(21)
         adv = system.advection_jacobian(5 * rng.standard_normal(system.n_u))
-        # the dense Newton matrix: linear saddle matrix, the Jacobian on the
-        # velocity diagonal, the mean-pressure border
-        n_u, n_p = system.n_u, system.n_p
-        dense = np.zeros((system.n_dof, system.n_dof))
-        dense[: n_u + n_p, : n_u + n_p] = system.saddle.toarray()
+        # the dense Newton matrix: the linear saddle matrix, the mean-pressure
+        # border included, and the Jacobian on the velocity diagonal
+        dense = system.saddle.toarray()
+        assert dense.shape == (system.n_dof, system.n_dof)
         for m, jac in enumerate(adv):
             dense[system.slice_u(m), system.slice_u(m)] += jac
-        if system.pressure_constraint:
-            dense[n_u : n_u + n_p, -1] = system.mean_row
-            dense[-1, n_u : n_u + n_p] = system.mean_row
         mat = system.newton_matrix(adv)
         assert np.array_equal(mat.toarray(), dense)
         b = rng.standard_normal(system.n_dof)
