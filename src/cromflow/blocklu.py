@@ -145,6 +145,11 @@ class BlockLU:
                     )
                 )
 
+    @property
+    def nnz(self) -> int:
+        """Entries stored: each pivot group's LU and its lower and upper couplings."""
+        return sum(f[0].size + lower.size + upper.size for f, _, _, lower, upper in self._steps)
+
     @staticmethod
     def _scatter_schur(blocks: dict, front, sizes, update: np.ndarray) -> None:
         off = _starts(front, sizes)

@@ -10,14 +10,16 @@ their dense projections, summed into dense cell blocks.  The steady
 nonlinear problem is solved by one Newton-Raphson loop on one residual;
 each system supplies its Newton matrix (the saddle operator plus the
 advection Jacobian) and a direct factorization of it.  The full-order
-system uses a sparse LU and starts from a Stokes solve.
+system starts from a Stokes solve; its Newton matrices share one sparse
+pattern, built once, and SuperLU orders the unknowns once per solve.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Mapping, Optional
 
 import numpy as np
@@ -37,14 +39,17 @@ _SIDE_OF_CELL = {
 }
 
 
-def saddle_lu(mat):
-    """Sparse LU tuned for the saddle sparsity pattern.
+def saddle_lu(mat, permc_spec: str = "COLAMD"):
+    """SuperLU factorization of a saddle matrix in symmetric mode.
 
-    Symmetric-pattern mode with a relaxed pivot threshold roughly halves the
-    factorization time on these systems; the callers all guard accuracy with
-    explicit residual checks.
+    The unknowns are ordered by ``permc_spec`` (COLAMD by default;
+    ``"NATURAL"`` for a matrix already permuted), rows and columns alike,
+    and a pivot stays on the diagonal unless it is below 0.01 of the largest
+    entry of its column.  Callers check accuracy through residuals.
     """
-    return spla.splu(mat, diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
+    return spla.splu(
+        mat, permc_spec=permc_spec, diag_pivot_thresh=0.01, options=dict(SymmetricMode=True)
+    )
 
 
 @dataclass
@@ -53,6 +58,9 @@ class SolveReport:
     residual_history: list
     # Euclidean norm of each Newton step, one per iteration
     step_norms: list
+    # entries stored by each Newton factorization (LU fill), one per
+    # factorization; the full-order Stokes start is not counted
+    fill_nnz: list
     # seconds: assembly; the Newton phases jacobian (advection Jacobian),
     # saddle (the Newton matrix: the linear saddle blocks plus the Jacobian),
     # factorization (LU; the full-order Stokes start counts here too), solve
@@ -94,6 +102,22 @@ class BlockSystem:
 
     def slice_u(self, m: int) -> slice:
         return slice(self.off_u[m], self.off_u[m + 1])
+
+    @cached_property
+    def type_groups(self) -> list:
+        """(component name, subdomains, velocity rows (M, n)) per component type.
+
+        The advection kernels take the M states of one type stacked, so each
+        type costs one kernel call per evaluation.
+        """
+        members = {}
+        for m in range(self.grid.n_subdomains):
+            members.setdefault(self.grid.component_name(m), []).append(m)
+        groups = []
+        for name, ms in members.items():
+            size = self.off_u[ms[0] + 1] - self.off_u[ms[0]]
+            groups.append((name, ms, self.off_u[ms][:, None] + np.arange(size)))
+        return groups
 
     def slice_p(self, m: int) -> slice:
         return slice(self.off_p[m], self.off_p[m + 1])
@@ -257,7 +281,7 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
     with _timed(times, "residual"):
         r = system.residual(x)
     history = [float(np.linalg.norm(r))]
-    step_norms = []
+    step_norms, fill_nnz = [], []
     target = max(tol_rel * history[0], tol_abs)
     converged = history[0] <= target
     message = ""
@@ -277,6 +301,8 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
         with _timed(times, "solve"):
             step = lu.solve(-r)
             x = x + step
+        fill_nnz.append(int(lu.nnz))
+        del lu, jac  # freed before the next step factors
         step_norms.append(float(np.linalg.norm(step)))
         with _timed(times, "residual"):
             r = system.residual(x)
@@ -294,6 +320,7 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
         newton_iterations=it,
         residual_history=history,
         step_norms=step_norms,
+        fill_nnz=fill_nnz,
         wall_times={
             "assembly": system.assembly_time,
             **times,
@@ -305,37 +332,135 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
     return u, p, report
 
 
+class _PermutedLU:
+    """Solves with ``mat`` from the LU of ``mat[order][:, order]``."""
+
+    def __init__(self, lu, order: np.ndarray):
+        self._lu = lu
+        self._order = order
+
+    @property
+    def nnz(self) -> int:
+        return self._lu.nnz
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[self._order] = self._lu.solve(b[self._order])
+        return x
+
+
 @dataclass(kw_only=True)
 class GlobalFomSystem(BlockSystem):
+    """Full-order block system; ``saddle`` is one CSC matrix.
+
+    Every Newton matrix of the system lies on one fixed pattern, the saddle
+    pattern joined with that of the advection Jacobian: a Newton step only
+    updates values on it.  The first Newton factorization orders the
+    unknowns; later ones factor the matrix permuted by that ordering.
+    """
+
     block_sink: ClassVar = _TripletSink
 
     operators: Mapping                  # component name -> ComponentOperators
+    # (order, gather map, indices, indptr) of the symmetrically permuted
+    # Newton pattern, set by the first Newton factorization
+    _ordering: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def ops_of(self, m: int) -> ComponentOperators:
         return self.operators[self.grid.component_name(m)]
 
+    @cached_property
+    def _value_map(self) -> np.ndarray:
+        """Velocity row of every element vector entry :meth:`advection_value` scatters."""
+        rows = [
+            self.off_u[ms][:, None, None, None] + self.operators[name].adv.element_dofs
+            for name, ms, _ in self.type_groups
+        ]
+        return np.concatenate([r.ravel() for r in rows])
+
+    @cached_property
+    def _newton_pattern(self):
+        """The CSC structure (indptr, indices) of saddle + advection Jacobian,
+        the saddle's values on it, and the place in its data of every entry
+        that :meth:`advection_jacobian` scatters.
+
+        The Jacobian's pattern is block diagonal in the per-component
+        patterns.  It and the saddle are canonical CSC, so their sum keeps
+        each one's entries in order: marking the saddle's entries 1 and the
+        Jacobian's 2 tells which places of the sum are whose.
+        """
+        n, saddle = self.n_dof, self.saddle
+        patterns = [self.ops_of(m).adv.jacobian_pattern for m in range(self.grid.n_subdomains)]
+        # where each subdomain's block starts in the Jacobian's data
+        starts = np.cumsum([0] + [ptr[-1] for ptr, _, _ in patterns])
+        indptr = np.concatenate(
+            [[0]]
+            + [start + ptr[1:] for start, (ptr, _, _) in zip(starts, patterns)]
+            + [np.full(n - self.n_u, starts[-1])]
+        )
+        indices = np.concatenate([idx + self.off_u[m] for m, (_, idx, _) in enumerate(patterns)])
+        jac = sp.csc_matrix((np.full(starts[-1], 2.0), indices, indptr), shape=(n, n))
+        marks = sp.csc_matrix((np.ones(saddle.nnz), saddle.indices, saddle.indptr), shape=(n, n))
+        pattern = marks + jac
+        base = np.zeros(pattern.nnz)
+        base[pattern.data != 2.0] = saddle.data
+        jac_places = np.flatnonzero(pattern.data >= 2.0)
+        scatter = [
+            jac_places[starts[ms][:, None] + self.operators[name].adv.jacobian_pattern[2]].ravel()
+            for name, ms, _ in self.type_groups
+        ]
+        return pattern.indptr, pattern.indices, base, np.concatenate(scatter)
+
     def advection_value(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_u)
-        for m in range(self.grid.n_subdomains):
-            sl = self.slice_u(m)
-            out[sl] = self.ops_of(m).adv.value(u[sl])
-        return out
+        values = [
+            self.operators[name].adv.element_values(u[rows]).ravel()
+            for name, _, rows in self.type_groups
+        ]
+        return np.bincount(self._value_map, weights=np.concatenate(values), minlength=self.n_u)
 
-    def advection_jacobian(self, u: np.ndarray) -> sp.csc_matrix:
-        """The advection Jacobian over the stacked state: zero outside the
-        velocity block."""
-        blocks = []
-        for m in range(self.grid.n_subdomains):
-            blocks.append(self.ops_of(m).adv.jacobian(u[self.slice_u(m)]))
-        jac = sp.block_diag(blocks, format="csc")
-        jac.resize(self.saddle.shape)
-        return jac
+    def advection_jacobian(self, u: np.ndarray) -> np.ndarray:
+        """The advection Jacobian's values on the Newton pattern, one per
+        stored entry; it is zero outside the velocity block."""
+        _, _, base, scatter = self._newton_pattern
+        values = [
+            self.operators[name].adv.element_jacobians(u[rows]).ravel()
+            for name, _, rows in self.type_groups
+        ]
+        return np.bincount(scatter, weights=np.concatenate(values), minlength=base.size)
 
-    def newton_matrix(self, adv: sp.csc_matrix) -> sp.csc_matrix:
-        return self.saddle + adv
+    def newton_matrix(self, adv: np.ndarray) -> sp.csc_matrix:
+        indptr, indices, base, _ = self._newton_pattern
+        return sp.csc_matrix((base + adv, indices, indptr), shape=self.saddle.shape)
 
     def factorize(self, mat: sp.csc_matrix):
-        return saddle_lu(mat)
+        """Sparse LU of a Newton matrix of the system.
+
+        The first call orders the unknowns (COLAMD) and keeps the ordering;
+        every later call permutes ``mat``, which must lie on the Newton
+        pattern, symmetrically by it and factors in natural order.
+        """
+        if self._ordering is None:
+            lu = saddle_lu(mat)
+            self._ordering = _permuted_pattern(mat, np.argsort(lu.perm_c))
+            return lu
+        order, gather, indices, indptr = self._ordering
+        permuted = sp.csc_matrix((mat.data[gather], indices, indptr), shape=mat.shape)
+        return _PermutedLU(saddle_lu(permuted, permc_spec="NATURAL"), order)
+
+
+def _permuted_pattern(mat: sp.csc_matrix, order: np.ndarray):
+    """The CSC structure of ``mat[order][:, order]`` and the map that gathers
+    its data from ``mat.data``: (order, gather, indices, indptr)."""
+    new = np.empty_like(order)
+    new[order] = np.arange(order.size)
+    counts = np.diff(mat.indptr)[order]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    # column j holds the entries of column order[j] of mat, rows unsorted
+    places = np.arange(mat.nnz) - np.repeat(indptr[:-1] - mat.indptr[order], counts)
+    unsorted = sp.csc_matrix((places, new[mat.indices[places]], indptr), shape=mat.shape)
+    # two counting sorts, through CSR, order the rows within each column
+    permuted = unsorted.tocsr().tocsc()
+    return order, permuted.data, permuted.indices, permuted.indptr
 
 
 def assemble_global(

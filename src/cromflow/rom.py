@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping, Optional
 
@@ -127,25 +126,10 @@ class GlobalRomSystem(BlockSystem):
     def red_of(self, m: int) -> ReducedComponentOperators:
         return self.reduced[self.grid.component_name(m)]
 
-    @cached_property
-    def _type_groups(self) -> list:
-        """(reduced operators, subdomains, velocity rows (M, R)) per component type.
-
-        The advection kernels take the M reduced states of one type stacked
-        as columns, so each type costs one kernel call per evaluation.
-        """
-        members = {}
-        for m in range(self.grid.n_subdomains):
-            members.setdefault(self.grid.component_name(m), []).append(m)
-        groups = []
-        for name, ms in members.items():
-            red = self.reduced[name]
-            groups.append((red, ms, self.off_u[ms][:, None] + np.arange(red.r_u)))
-        return groups
-
     def advection_value(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
-        for red, _, rows in self._type_groups:
+        for name, _, rows in self.type_groups:
+            red = self.reduced[name]
             if self.backend == TENSORIAL:
                 out[rows] = tensor_contract(red.tensor, u_hat[rows].T).T
             else:
@@ -155,7 +139,8 @@ class GlobalRomSystem(BlockSystem):
     def advection_jacobian(self, u_hat: np.ndarray) -> list:
         """The dense advection Jacobian block of each cell."""
         blocks = [None] * self.grid.n_subdomains
-        for red, ms, rows in self._type_groups:
+        for name, ms, rows in self.type_groups:
+            red = self.reduced[name]
             if self.backend == TENSORIAL:
                 jac = tensor_jacobian(red.tensor, u_hat[rows].T)
             else:

@@ -12,6 +12,7 @@ grid interface with that configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,8 @@ class Triplets:
     """Coordinate entries of one sparse matrix, gathered block by block.
 
     :meth:`tocsr` sums duplicate entries; the order in which blocks are
-    added fixes the order of those sums.
+    added fixes the order of those sums.  :meth:`tocoo` gives the same
+    entries in COO form, which :meth:`add` places without a conversion.
     """
 
     def __init__(self, shape):
@@ -49,7 +51,7 @@ class Triplets:
         contribute every entry, so the pattern does not depend on the values.
         """
         if sp.issparse(mat):
-            coo = mat.tocoo()
+            coo = mat.tocoo()  # the matrix itself when it is COO
             rows, cols, vals = coo.row, coo.col, coo.data
         else:
             nr, nc = mat.shape
@@ -86,17 +88,21 @@ class Triplets:
             shape=self.shape,
         ).tocsr()
 
+    def tocoo(self) -> sp.coo_matrix:
+        """The summed entries in row-major order."""
+        return self.tocsr().tocoo()
 
-def assemble_viscous(space: TaylorHoodSpace, nu: float) -> sp.csr_matrix:
+
+def assemble_viscous(space: TaylorHoodSpace, nu: float) -> sp.coo_matrix:
     """Domain viscous matrix: nu * (grad u_test, grad u) on the component."""
     ke = nu * np.einsum("tq,tqac,tqbc->tab", space.qw, space.p2g_q, space.p2g_q)
     ns = space.n_scalar
     K = Triplets((space.n_u, space.n_u))
     K.add_elements(space.tri_nodes, space.tri_nodes, ke, ((0, 0), (ns, ns)))
-    return K.tocsr()
+    return K.tocoo()
 
 
-def assemble_divergence(space: TaylorHoodSpace) -> sp.csr_matrix:
+def assemble_divergence(space: TaylorHoodSpace) -> sp.coo_matrix:
     """Domain divergence matrix: -(p_test, div u) on the component."""
     be = -np.einsum("tq,qi,tqbc->tibc", space.qw, space.p1v_q, space.p2g_q)
     B = Triplets((space.n_p, space.n_u))
@@ -106,7 +112,7 @@ def assemble_divergence(space: TaylorHoodSpace) -> sp.csr_matrix:
         [be[..., 0], be[..., 1]],
         ((0, 0), (0, space.n_scalar)),
     )
-    return B.tocsr()
+    return B.tocoo()
 
 
 def assemble_pressure_mean(space: TaylorHoodSpace) -> np.ndarray:
@@ -127,43 +133,79 @@ def assemble_pressure_stiffness(space: TaylorHoodSpace) -> sp.csr_matrix:
 
 
 class AdvectionKernel:
-    """Evaluates the advection form (u_test, u . grad u) and its Jacobian."""
+    """Evaluates the advection form (u_test, u . grad u) and its Jacobian.
+
+    Both are computed element by element for a stack of M velocity states
+    on the space, ``U`` of shape (M, n_u); callers scatter the element
+    arrays by :attr:`element_dofs`.  The quadrature weights times basis
+    products are precomputed, so an evaluation is a few batched matrix
+    products over the elements.
+    """
 
     def __init__(self, space: TaylorHoodSpace):
         self.space = space
+        nd = space.tri_nodes
+        # velocity dof of (element, component c, node a)
+        self.element_dofs = np.stack([nd, nd + space.n_scalar], axis=1)  # (t, 2, 6)
+        phi = space.p2v_q.T                                              # (6, q)
+        t, q = space.qw.shape
+        self._w_phi = space.qw[:, None, :] * phi                         # (t, 6, q)
+        # w phi_a phi_b, (t, q, 36) with (a, b) flattened
+        self._w_phi2 = np.einsum("taq,bq->tqab", self._w_phi, phi).reshape(t, q, 36)
+        # physical gradients d_d phi_a, as (t, a, (d, q)) and (t, d, a, q)
+        self._grad_d = np.ascontiguousarray(space.p2g_q.transpose(0, 3, 2, 1))
+        self._grad = self._grad_d.transpose(0, 2, 1, 3).reshape(t, 6, 2 * q)
+
+    def _at_quad(self, U: np.ndarray):
+        """Values (M, t, 2, q) and gradients (M, t, 2, 2, q), indexed [c, q]
+        and [c, d, q] for d_d u_c, of the states ``U``."""
+        loc = U[:, self.element_dofs]                                    # (M, t, 2, 6)
+        M, t = loc.shape[:2]
+        uq = (loc.reshape(-1, 6) @ self.space.p2v_q.T).reshape(M, t, 2, -1)
+        gq = (loc @ self._grad).reshape(M, t, 2, 2, -1)
+        return uq, gq
+
+    def element_values(self, U: np.ndarray) -> np.ndarray:
+        """Element vectors (M, t, 2, 6) of the advection term, indexed
+        [component c, node a]."""
+        uq, gq = self._at_quad(U)
+        aq = gq[:, :, :, 0] * uq[:, :, None, 0] + gq[:, :, :, 1] * uq[:, :, None, 1]
+        return aq @ self._w_phi.transpose(0, 2, 1)
+
+    def element_jacobians(self, U: np.ndarray) -> np.ndarray:
+        """Element Jacobians (M, t, 2, 2, 6, 6) of the advection term,
+        indexed [test component c, trial component d, test node a, trial
+        node b]: w phi_a (phi_b d_d u_c + delta_cd u . grad phi_b)."""
+        uq, gq = self._at_quad(U)
+        M, t = uq.shape[:2]
+        jac = gq.reshape(M, t, 4, -1) @ self._w_phi2                     # (M, t, 4, 36)
+        conv = self._grad_d[:, 0] * uq[:, :, None, 0] + self._grad_d[:, 1] * uq[:, :, None, 1]
+        diag = (self._w_phi @ conv.transpose(0, 1, 3, 2)).reshape(M, t, 36)
+        jac[:, :, 0] += diag
+        jac[:, :, 3] += diag
+        return jac.reshape(M, t, 2, 2, 6, 6)
 
     def value(self, u: np.ndarray) -> np.ndarray:
-        s = self.space
-        loc = s.local_velocity(u)
-        uq = np.einsum("qa,tac->tqc", s.p2v_q, loc)
-        gq = np.einsum("tqad,tac->tqcd", s.p2g_q, loc)
-        aq = np.einsum("tqd,tqcd->tqc", uq, gq)
-        fe = np.einsum("tq,qa,tqc->tac", s.qw, s.p2v_q, aq)
-        out = np.zeros(s.n_u)
-        nd = s.tri_nodes
-        np.add.at(out, nd.ravel(), fe[:, :, 0].ravel())
-        np.add.at(out, nd.ravel() + s.n_scalar, fe[:, :, 1].ravel())
-        return out
+        """The assembled advection term of one state."""
+        fe = self.element_values(u[None])[0]
+        return np.bincount(self.element_dofs.ravel(), weights=fe.ravel(), minlength=self.space.n_u)
 
-    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
-        s = self.space
-        loc = s.local_velocity(u)
-        uq = np.einsum("qa,tac->tqc", s.p2v_q, loc)
-        gq = np.einsum("tqad,tac->tqcd", s.p2g_q, loc)
-        # (test a,c; trial b,d): w * phi_a * (phi_b dd u_c + delta_cd u . grad phi_b)
-        m1 = np.einsum("tq,qa,qb,tqcd->tacbd", s.qw, s.p2v_q, s.p2v_q, gq)
-        conv = np.einsum("tqd,tqbd->tqb", uq, s.p2g_q)
-        m2 = np.einsum("tq,qa,tqb->tab", s.qw, s.p2v_q, conv)
-        m1[:, :, 0, :, 0] += m2
-        m1[:, :, 1, :, 1] += m2
-        nd = s.tri_nodes
-        ns = s.n_scalar
-        dof = np.stack([nd, nd + ns], axis=-1)             # (t, 6, 2)
-        rows = np.broadcast_to(dof[:, :, :, None, None], m1.shape)
-        cols = np.broadcast_to(dof[:, None, None, :, :], m1.shape)
-        return sp.coo_matrix(
-            (m1.ravel(), (rows.ravel(), cols.ravel())), shape=(s.n_u, s.n_u)
-        ).tocsr()
+    @cached_property
+    def jacobian_pattern(self):
+        """CSC pattern of the assembled Jacobian on the space.
+
+        Returns (indptr, indices, position): ``position`` gives, for each
+        entry of :meth:`element_jacobians` of one state in C order, its
+        place in the CSC data.
+        """
+        n, dofs = self.space.n_u, self.element_dofs
+        shape = dofs.shape[:2] + (2, 6, 6)
+        rows = np.broadcast_to(dofs[:, :, None, :, None], shape)
+        cols = np.broadcast_to(dofs[:, None, :, None, :], shape)
+        keys, position = np.unique((cols * n + rows).ravel(), return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
+        return indptr, keys % n, position
 
     def basis_at_quad(self, phi: np.ndarray):
         """Basis columns evaluated at all volume quadrature points.
@@ -224,24 +266,28 @@ class BoundaryLoadBuilder:
 
 @dataclass
 class ComponentOperators:
-    """All assembled per-component blocks for one reference component."""
+    """All assembled per-component blocks for one reference component.
+
+    The blocks that global assembly places (``K``, ``B``, ``K_di``,
+    ``B_di``) are kept in COO form, converted once per component.
+    """
 
     space: TaylorHoodSpace
     nu: float
     gamma: float
-    K: sp.csr_matrix
-    B: sp.csr_matrix
-    K_di: dict                     # side/obstacle tag -> csr (n_u, n_u)
-    B_di: dict                     # side/obstacle tag -> csr (n_p, n_u)
+    K: sp.coo_matrix
+    B: sp.coo_matrix
+    K_di: dict                     # side/obstacle tag -> coo (n_u, n_u)
+    B_di: dict                     # side/obstacle tag -> coo (n_p, n_u)
     loads: dict                    # side/obstacle tag -> BoundaryLoadBuilder
     adv: AdvectionKernel
     pressure_mean: np.ndarray = field(repr=False, default=None)
     pressure_stiffness: sp.csr_matrix = field(repr=False, default=None)
 
     @property
-    def C(self) -> sp.csr_matrix:
+    def C(self) -> sp.coo_matrix:
         """Pressure block of the saddle system: empty at full order."""
-        return sp.csr_matrix((self.space.n_p, self.space.n_p))
+        return sp.coo_matrix((self.space.n_p, self.space.n_p))
 
     def forcing_load(self, f: Callable, origin=np.zeros(2)) -> np.ndarray:
         """Body-force load (u_test, f) with f given in global coordinates."""
@@ -306,7 +352,7 @@ def assemble_dirichlet_blocks(space: TaylorHoodSpace, tag: str, nu: float, gamma
         load_n.add_elements(nd, cols, lne.T, ((0, 0), (ns, 1)))
         load_p.add_elements(verts, cols, [lp[:, 0, :].T, lp[:, 1, :].T], ((0, 0), (0, 1)))
     loads = BoundaryLoadBuilder(xy, load_u.tocsr(), load_p.tocsr(), load_n.tocsr())
-    return K.tocsr(), B.tocsr(), loads
+    return K.tocoo(), B.tocoo(), loads
 
 
 def build_component_operators(space: TaylorHoodSpace, nu: float) -> ComponentOperators:
@@ -336,8 +382,8 @@ def build_component_operators(space: TaylorHoodSpace, nu: float) -> ComponentOpe
 class InterfaceBlocks:
     """Coupling blocks of one (component, component, orientation) configuration."""
 
-    K: dict                        # ("mm"|"mn"|"nm"|"nn") -> csr (n_u_i, n_u_j)
-    B: dict                        # same keys -> csr (n_p_i, n_u_j)
+    K: dict                        # ("mm"|"mn"|"nm"|"nn") -> coo (n_u_i, n_u_j)
+    B: dict                        # same keys -> coo (n_p_i, n_u_j)
 
 
 def assemble_interface_blocks(
@@ -404,6 +450,6 @@ def assemble_interface_blocks(
             B[s, t].add_elements(verts_s, nd_t, [b[:, :, 0], b[:, :, 1]], ((0, 0), (0, ns_t)))
 
     return InterfaceBlocks(
-        K={s + t: K[s, t].tocsr() for s, t in sides},
-        B={s + t: B[s, t].tocsr() for s, t in sides},
+        K={s + t: K[s, t].tocoo() for s, t in sides},
+        B={s + t: B[s, t].tocoo() for s, t in sides},
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,7 +21,12 @@ from cromflow.geometry import (
     generate_empty_mesh,
     generate_obstacle_mesh,
 )
-from cromflow.weakforms import assemble_interface_blocks, build_component_operators
+from cromflow.harness import ExperimentConfig, build_component_set
+from cromflow.weakforms import (
+    InterfaceBlocks,
+    assemble_interface_blocks,
+    build_component_operators,
+)
 
 NU = 0.04
 
@@ -101,6 +108,36 @@ class TestAssembly:
         partial = {k: v for k, v in blocks.items() if k[2] == "H"}
         with pytest.raises(KeyError, match="configuration"):
             assemble_global(channel_grid(2, 2), ops, partial)
+
+    def test_coo_blocks_place_as_their_csr_form(self, mixed_parts):
+        # the placed blocks are kept in COO form; placing their CSR form
+        # instead gives the same saddle matrix, bit for bit
+        ops, blocks = mixed_parts
+        csr_ops = {
+            name: dataclasses.replace(
+                o,
+                K=o.K.tocsr(),
+                B=o.B.tocsr(),
+                K_di={t: m.tocsr() for t, m in o.K_di.items()},
+                B_di={t: m.tocsr() for t, m in o.B_di.items()},
+            )
+            for name, o in ops.items()
+        }
+        csr_blocks = {
+            key: InterfaceBlocks(
+                {st: m.tocsr() for st, m in ib.K.items()},
+                {st: m.tocsr() for st, m in ib.B.items()},
+            )
+            for key, ib in blocks.items()
+        }
+        for outflow in (True, False):
+            grid = mixed_3x3_grid(outflow)
+            got = assemble_global(grid, ops, blocks)
+            ref = assemble_global(grid, csr_ops, csr_blocks)
+            assert all(o.K.format == "coo" for o in ops.values())
+            for field in ("data", "indices", "indptr"):
+                assert getattr(got.saddle, field).tobytes() == getattr(ref.saddle, field).tobytes()
+            assert got.rhs.tobytes() == ref.rhs.tobytes()
 
     def test_pressure_schur_full_rank(self, empty_parts):
         space, ops, blocks = empty_parts
@@ -310,11 +347,11 @@ class TestNewton:
         calls = []
         factorize = fom.saddle_lu
 
-        def singular_after_stokes(mat):
+        def singular_after_stokes(mat, **options):
             calls.append(mat.shape)
             if len(calls) > 1:
                 raise RuntimeError("Factor is exactly singular")
-            return factorize(mat)
+            return factorize(mat, **options)
 
         monkeypatch.setattr(fom, "saddle_lu", singular_after_stokes)
         u, p, report = solve_newton(system)
@@ -323,6 +360,7 @@ class TestNewton:
         assert report.newton_iterations == 0
         assert "singular" in report.message
         assert len(report.residual_history) == 1
+        assert report.fill_nnz == []
         assert u.shape == (system.n_u,) and p.shape == (system.n_p,)
         phases = ("jacobian", "saddle", "factorization", "solve", "residual")
         assert set(report.wall_times) == {"assembly", "total", *phases}
@@ -342,6 +380,122 @@ class TestNewton:
             )
             p[system.slice_p(m)] = space.interpolate_pressure(lambda xy: pex(xy + o))
         assert np.linalg.norm(system.residual(np.concatenate([u, p]))) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def mixed_parts():
+    """All three component types at n_per_side 4, as `cromflow train` builds them."""
+    parts = build_component_set(ExperimentConfig(n_per_side=4))
+    return parts.operators, parts.interface_blocks
+
+
+def mixed_3x3_grid(outflow: bool) -> GridConfig:
+    cells = [
+        ["empty", "square", "circle"],
+        ["circle", "empty", "square"],
+        ["square", "circle", "empty"],
+    ]
+    g = lambda xy: np.stack([np.ones(len(xy)), 0.3 * np.ones(len(xy))], axis=-1)
+    if outflow:
+        bc = {"L": SideBC("dirichlet", g), "B": SideBC("dirichlet", g)}
+        bc.update(R=SideBC("neumann"), T=SideBC("neumann"))
+    else:
+        # uniform flow carries no net flux through the closed boundary
+        bc = {s: SideBC("dirichlet", g) for s in "LRBT"}
+    return GridConfig(3, 3, cells, NU, bc)
+
+
+def element_jacobian_oracle(system, u) -> sp.csc_matrix:
+    """saddle + the block diagonal of per-subdomain Jacobians, each summed
+    from its element Jacobians through COO."""
+    blocks = []
+    for m in range(system.grid.n_subdomains):
+        adv = system.ops_of(m).adv
+        jac = adv.element_jacobians(u[system.slice_u(m)][None])[0]
+        dofs = adv.element_dofs
+        rows = np.broadcast_to(dofs[:, :, None, :, None], jac.shape).ravel()
+        cols = np.broadcast_to(dofs[:, None, :, None, :], jac.shape).ravel()
+        n = adv.space.n_u
+        blocks.append(sp.coo_matrix((jac.ravel(), (rows, cols)), shape=(n, n)).tocsr())
+    jac = sp.block_diag(blocks, format="csc")
+    jac.resize(system.saddle.shape)
+    return (system.saddle + jac).tocsc()
+
+
+class TestNewtonPattern:
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_fixed_pattern_matrix_equals_element_oracle(self, mixed_parts, outflow):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(outflow), ops, blocks)
+        assert system.pressure_constraint == (not outflow)
+        assert {name for name, _, _ in system.type_groups} == {"empty", "square", "circle"}
+        rng = np.random.default_rng(11)
+        for _ in range(2):  # the pattern is built once and reused
+            u = rng.standard_normal(system.n_u)
+            mat = system.newton_matrix(system.advection_jacobian(u))
+            ref = element_jacobian_oracle(system, u)
+            assert mat.format == "csc" and mat.shape == ref.shape
+            assert abs(mat - ref).max() <= 1e-13 * abs(ref).max()
+            # the fixed pattern holds every entry of the saddle and the Jacobian
+            assert mat.nnz >= ref.nnz
+        # the multiplier's row and column, where present, are the saddle's
+        n_u, last = system.n_u, system.n_dof - 1
+        if system.pressure_constraint:
+            assert abs(mat[last] - system.saddle[last]).max() == 0.0
+        assert abs(mat[n_u:, n_u:] - system.saddle[n_u:, n_u:]).max() == 0.0
+
+    def test_advection_value_is_the_per_subdomain_sum(self, mixed_parts):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(True), ops, blocks)
+        u = np.random.default_rng(12).standard_normal(system.n_u)
+        ref = np.concatenate(
+            [
+                system.ops_of(m).adv.value(u[system.slice_u(m)])
+                for m in range(system.grid.n_subdomains)
+            ]
+        )
+        assert np.abs(system.advection_value(u) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_one_ordering_per_solve(self, mixed_parts, monkeypatch, outflow):
+        ops, blocks = mixed_parts
+        grid = mixed_3x3_grid(outflow)
+        specs = []
+        factorize = fom.saddle_lu
+
+        def recording(mat, permc_spec="COLAMD"):
+            specs.append(permc_spec)
+            return factorize(mat, permc_spec=permc_spec)
+
+        monkeypatch.setattr(fom, "saddle_lu", recording)
+        u, p, report = solve_newton(assemble_global(grid, ops, blocks), tol_rel=1e-12)
+        assert report.converged and report.newton_iterations >= 3
+        # the Stokes start and the first Newton step order; later steps reuse
+        assert specs == ["COLAMD", "COLAMD"] + ["NATURAL"] * (report.newton_iterations - 1)
+
+        # the reference orders afresh at every Newton step
+        monkeypatch.setattr(fom.GlobalFomSystem, "factorize", lambda self, mat: factorize(mat))
+        u_ref, p_ref, ref = solve_newton(assemble_global(grid, ops, blocks), tol_rel=1e-12)
+        assert ref.converged and ref.newton_iterations == report.newton_iterations
+        x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        # the reused ordering keeps the fill of a fresh one
+        assert report.fill_nnz[0] == ref.fill_nnz[0]
+        for got, fresh in zip(report.fill_nnz[1:], ref.fill_nnz[1:]):
+            assert abs(got - fresh) <= 0.01 * fresh
+
+    def test_permuted_factorization_solves_the_unpermuted_matrix(self, mixed_parts):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(False), ops, blocks)
+        rng = np.random.default_rng(13)
+        first = system.newton_matrix(system.advection_jacobian(rng.standard_normal(system.n_u)))
+        system.factorize(first)
+        mat = system.newton_matrix(system.advection_jacobian(rng.standard_normal(system.n_u)))
+        lu = system.factorize(mat)
+        b = rng.standard_normal(system.n_dof)
+        x = lu.solve(b)
+        assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert lu.nnz > mat.nnz
 
 
 class TestMms:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cromflow import rom
-from cromflow.blocklu import nested_dissection
+from cromflow.blocklu import BlockLU, nested_dissection
 from cromflow.eqp import EqpRule
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.fom import assemble_global, solve_newton
@@ -42,6 +42,7 @@ def assert_singular_solve_reported(system):
     assert report.newton_iterations == 0
     assert "singular" in report.message
     assert report.step_norms == []
+    assert report.fill_nnz == []
     assert not np.any(uh) and not np.any(ph)
     assert set(report.wall_times) == {"assembly", "total", *NEWTON_PHASES}
     assert_phases_within_total(report)
@@ -325,6 +326,9 @@ class TestSolve:
         assert set(rep_f.wall_times) == set(rep_r.wall_times) == keys
         for rep in (rep_f, rep_r):
             assert len(rep.step_norms) == rep.newton_iterations
+            # one LU fill per Newton factorization
+            assert len(rep.fill_nnz) == rep.newton_iterations
+            assert all(type(k) is int and k > 0 for k in rep.fill_nnz)
         assert rep_r.newton_iterations > 0
         assert rep_r.wall_times["factorization"] > 0.0
         assert all(rep_r.wall_times[k] > 0.0 for k in NEWTON_PHASES)
@@ -486,6 +490,18 @@ class TestBlockFactorization:
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         # the factorization leaves the matrix it factors unchanged
         assert np.array_equal(mat.toarray(), dense)
+
+    def test_nnz_counts_the_stored_factors(self, mixed_3x3):
+        grid, reduced, riface = mixed_3x3
+        system = assemble_global_rom(grid, reduced, riface)
+        mat = system.newton_matrix(system.advection_jacobian(np.zeros(system.n_u)))
+        # one pivot group of every cell: a dense LU, nothing beside it
+        assert BlockLU(mat, [list(range(grid.n_subdomains))]).nnz == system.n_dof**2
+        # nested dissection stores the pivot LUs and their couplings: more
+        # than the pivot blocks, less than the dense factors
+        groups = nested_dissection(grid.rows, grid.cols)
+        sizes = [sum(len(mat.nodes[m]) for m in g) for g in groups]
+        assert sum(k * k for k in sizes) < system.factorize(mat).nnz < system.n_dof**2
 
 
 class TestLift:

@@ -31,6 +31,15 @@ def vec(space, fx, fy):
     return space.interpolate_velocity(lambda xy: np.stack([fx(xy), fy(xy)], axis=-1))
 
 
+def jacobian_times(adv, u, v):
+    """J(u) v from the batched kernel's element Jacobians, scattered."""
+    jac = adv.element_jacobians(u[None])[0]           # (t, c, d, a, b)
+    dofs = adv.element_dofs                            # (t, c, a)
+    out = np.zeros_like(v)
+    np.add.at(out, dofs, np.einsum("tcdab,tdb->tca", jac, v[dofs]))
+    return out
+
+
 def unit_square_two_triangles():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
@@ -111,7 +120,7 @@ class TestAdvection:
         v = rng.standard_normal(space.n_u)
         eps = 1e-6
         fd = (ops.adv.value(u + eps * v) - ops.adv.value(u)) / eps
-        jv = ops.adv.jacobian(u) @ v
+        jv = jacobian_times(ops.adv, u, v)
         assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) <= 10 * eps
         second_order = eps * ops.adv.value(v)
         # exact up to the subtraction roundoff floor |C| * 1e-16 / eps
@@ -124,8 +133,45 @@ class TestAdvection:
         v = rng.standard_normal(space.n_u)
         eps = 1e-6
         fd = (ops.adv.value(u + eps * v) - ops.adv.value(u - eps * v)) / (2 * eps)
-        jv = ops.adv.jacobian(u) @ v
+        jv = jacobian_times(ops.adv, u, v)
         assert np.abs(fd - jv).max() / np.abs(jv).max() < 1e-8
+
+    @pytest.mark.parametrize("mesh", ["empty", "square"])
+    def test_stacked_states_match_one_at_a_time(self, mesh):
+        sp_ = TaylorHoodSpace(
+            generate_empty_mesh(4) if mesh == "empty" else generate_obstacle_mesh(4, "square", 0.25)
+        )
+        adv = build_component_operators(sp_, NU).adv
+        U = np.random.default_rng(8).standard_normal((3, sp_.n_u))
+        values, jacs = adv.element_values(U), adv.element_jacobians(U)
+        for k in range(3):
+            one_v = adv.element_values(U[k : k + 1])[0]
+            one_j = adv.element_jacobians(U[k : k + 1])[0]
+            assert np.abs(values[k] - one_v).max() <= 1e-14 * np.abs(one_v).max()
+            assert np.abs(jacs[k] - one_j).max() <= 1e-14 * np.abs(one_j).max()
+
+    def test_value_is_the_scattered_element_values(self, space, ops):
+        u = np.random.default_rng(9).standard_normal(space.n_u)
+        ref = np.zeros(space.n_u)
+        np.add.at(ref, ops.adv.element_dofs, ops.adv.element_values(u[None])[0])
+        assert np.abs(ops.adv.value(u) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_jacobian_pattern_places_every_element_entry(self, space, ops):
+        # the pattern's scatter of the element Jacobians is the COO sum of them
+        adv = ops.adv
+        u = np.random.default_rng(10).standard_normal(space.n_u)
+        jac = adv.element_jacobians(u[None])[0]
+        dofs = adv.element_dofs
+        rows = np.broadcast_to(dofs[:, :, None, :, None], jac.shape).ravel()
+        cols = np.broadcast_to(dofs[:, None, :, None, :], jac.shape).ravel()
+        ref = sp.coo_matrix((jac.ravel(), (rows, cols)), shape=(space.n_u,) * 2).tocsc()
+        indptr, indices, position = adv.jacobian_pattern
+        assert position.shape == (jac.size,)
+        data = np.bincount(position, weights=jac.ravel(), minlength=indices.size)
+        got = sp.csc_matrix((data, indices, indptr), shape=ref.shape)
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestInterfaceBlocks:
