@@ -10,8 +10,9 @@ their dense projections, summed into dense cell blocks.  The steady
 nonlinear problem is solved by one Newton-Raphson loop on one residual;
 each system supplies its Newton matrix (the saddle operator plus the
 advection Jacobian) and a direct factorization of it.  The full-order
-system starts from a Stokes solve; its Newton matrices share one sparse
-pattern, built once, and SuperLU orders the unknowns once per solve.
+system starts from a Stokes solve; the Stokes matrix and every Newton
+matrix share one sparse pattern, built once, and SuperLU orders the
+unknowns once per solve, at the Stokes start.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
 
     ``local`` maps component names to :class:`ComponentOperators` or their
     reduced projections; either carries ``K``, ``B``, ``C`` (empty at full
-    order), ``K_di``/``B_di`` and ``loads`` by boundary tag and
+    order), ``K_di``/``B_di`` by boundary tag, the Dirichlet ``loads`` by
+    side (outflow sides and no-slip walls carry no data) and
     ``pressure_mean``.  A grid with a body force also needs
     ``forcing_load``, which only the full-order operators have.
     ``interface_blocks`` maps (ref_m, ref_n, orientation) to blocks keyed
@@ -224,11 +226,9 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
                 lu, lp = ops.loads[side].dirichlet_loads(bc.velocity, origin)
                 load_u += lu
                 load_p += lp
-            elif bc.velocity is not None:
-                load_u += ops.loads[side].neumann_load(bc.velocity, origin)
         if "O" in ops.K_di:
             sink.add("K", ops.K_di["O"], m, m)
-            sink.add("B", ops.B_di["O"], m, m)  # no-slip walls: zero loads
+            sink.add("B", ops.B_di["O"], m, m)
 
     interfaces = interface_topology(grid)
     for m, n, orientation in interfaces:
@@ -355,15 +355,16 @@ class GlobalFomSystem(BlockSystem):
 
     Every Newton matrix of the system lies on one fixed pattern, the saddle
     pattern joined with that of the advection Jacobian: a Newton step only
-    updates values on it.  The first Newton factorization orders the
-    unknowns; later ones factor the matrix permuted by that ordering.
+    updates values on it.  The Stokes start is the Newton matrix at u = 0;
+    its factorization orders the unknowns, and every Newton factorization
+    factors the matrix permuted by that ordering.
     """
 
     block_sink: ClassVar = _TripletSink
 
     operators: Mapping                  # component name -> ComponentOperators
     # (order, gather map, indices, indptr) of the symmetrically permuted
-    # Newton pattern, set by the first Newton factorization
+    # Newton pattern, set by the first factorization (the Stokes start)
     _ordering: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def ops_of(self, m: int) -> ComponentOperators:
@@ -489,9 +490,9 @@ def assemble_global(
 
 
 def _solve_stokes_full(system: GlobalFomSystem) -> np.ndarray:
-    mat, rhs = system.saddle, system.rhs
-    x = saddle_lu(mat).solve(rhs)
-    res = np.linalg.norm(mat @ x - rhs)
+    rhs = system.rhs
+    x = system.factorize(system.newton_matrix(0.0)).solve(rhs)
+    res = np.linalg.norm(system.saddle @ x - rhs)
     if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
         raise RuntimeError(f"Stokes solve inaccurate: residual {res:.3e}")
     return x

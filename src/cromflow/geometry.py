@@ -248,7 +248,8 @@ def build_component_meshes(cfg) -> dict:
 
 @dataclass
 class SideBC:
-    """Boundary condition of one global side: prescribed velocity or outflow."""
+    """Boundary condition of one global side: prescribed velocity
+    ("dirichlet") or homogeneous outflow ("neumann", zero traction)."""
 
     kind: str                              # "dirichlet" | "neumann"
     velocity: Optional[Callable] = None    # xy (n, 2) -> (n, 2), global coords
@@ -258,6 +259,8 @@ class SideBC:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "dirichlet" and self.velocity is None:
             raise ValueError("dirichlet side requires a velocity function")
+        if self.kind == "neumann" and self.velocity is not None:
+            raise ValueError("a neumann side is homogeneous outflow and takes no data")
 
 
 @dataclass

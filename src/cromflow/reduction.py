@@ -204,7 +204,7 @@ class ReducedComponentOperators:
     C: np.ndarray                       # (R_p, R_p) pressure-gradient penalty
     K_di: dict
     B_di: dict
-    loads: dict                         # tag -> projected (dense) BoundaryLoadBuilder
+    loads: dict                         # side -> projected (dense) BoundaryLoadBuilder
     pressure_mean: np.ndarray
     tensor: Optional[np.ndarray] = None
     eqp_rule: object = None
@@ -229,10 +229,8 @@ def project_component(ops: ComponentOperators, basis: PodBasis) -> ReducedCompon
     K_di = {t: pu.T @ (m @ pu) for t, m in ops.K_di.items()}
     B_di = {t: pp.T @ (m @ pu) for t, m in ops.B_di.items()}
     loads = {
-        tag: BoundaryLoadBuilder(
-            b.xy, pu.T @ b.dirichlet_u, pp.T @ b.dirichlet_p, pu.T @ b.neumann_u
-        )
-        for tag, b in ops.loads.items()
+        side: BoundaryLoadBuilder(b.xy, pu.T @ b.dirichlet_u, pp.T @ b.dirichlet_p)
+        for side, b in ops.loads.items()
     }
     return ReducedComponentOperators(
         component=basis.component,

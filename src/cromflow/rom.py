@@ -4,8 +4,8 @@ error evaluation.
 
 The reduced system is the full-order block system of :mod:`cromflow.fom`
 with every component and interface block replaced by its dense projection;
-boundary loads come from the projected load builders, so any boundary
-condition can be applied without reassembling full-order operators.  The
+the Dirichlet loads come from the projected load builders of the sides, so
+any inflow data can be applied without reassembling full-order operators.  The
 projections are summed into one dense saddle block per cell and per
 neighbouring cell pair, and each Newton matrix is factored block by block
 in nested-dissection order (:mod:`cromflow.blocklu`).
@@ -39,7 +39,7 @@ from .blocklu import BlockLU, CellBlockMatrix, nested_dissection
 from .eqp import eqp_advection_jacobian, eqp_advection_value
 from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton
 from .fom import saddle_lu  # noqa: F401  not called: perfbench/tracing.py wraps rom.saddle_lu
-from .geometry import GridConfig
+from .geometry import SIDES, GridConfig
 from .reduction import (
     ReducedComponentOperators,
     ReducedInterfaceBlocks,
@@ -50,7 +50,7 @@ from .reduction import (
 from .weakforms import BoundaryLoadBuilder
 
 ROM_SOLUTION_MAGIC = b"CROMRSOL2"
-MODEL_MAGIC = b"CROMROM1"
+MODEL_MAGIC = b"CROMROM2"
 MODEL_FILE = "reduced_model.bin"
 # the config keys that shape the stored blocks; a model is refused under others
 MODEL_CONFIG_KEYS = (
@@ -319,7 +319,7 @@ def load_rom_solution(path) -> dict:
 
 # --- the stored reduced model -------------------------------------------------
 
-_LOAD_MAPS = ("dirichlet_u", "dirichlet_p", "neumann_u")
+_LOAD_MAPS = ("dirichlet_u", "dirichlet_p")
 _BLOCK_KEYS = ("mm", "mn", "nm", "nn")
 
 
@@ -350,11 +350,12 @@ def _block_name(key, matrix: str, blocks: str) -> str:
 def save_model(path, cfg, reduced: Mapping, reduced_interfaces: Mapping) -> None:
     """Write the projected blocks of every component and interface configuration.
 
-    A JSON header holds :func:`model_config` and, per component, its boundary
-    tags and the :func:`~cromflow.reduction.basis_checksum` of the velocity
-    basis the blocks were projected on.  A load map's columns, (point,
-    component) pairs, are stored as two axes, so the quadrature points'
-    count ties it to ``xy``.
+    A JSON header holds :func:`model_config` and, per component, the tags
+    of its Nitsche blocks (the four sides, and the obstacle wall if any) and
+    the :func:`~cromflow.reduction.basis_checksum` of the velocity basis the
+    blocks were projected on.  Load maps are stored for the four sides only.
+    A load map's columns, (point, component) pairs, are stored as two axes,
+    so the quadrature points' count ties it to ``xy``.
     """
     config = model_config(cfg)
     header = {"config": config, "components": {}}
@@ -367,13 +368,15 @@ def save_model(path, cfg, reduced: Mapping, reduced_interfaces: Mapping) -> None
         }
         for key in ("K", "B", "C", "pressure_mean"):
             arrays[f"{name}/{key}"] = getattr(red, key)
-        for tag, load in red.loads.items():
+        for tag in red.K_di:
             arrays[f"{name}/{tag}/K_di"] = red.K_di[tag]
             arrays[f"{name}/{tag}/B_di"] = red.B_di[tag]
-            arrays[f"{name}/{tag}/xy"] = load.xy
+        for side in SIDES:
+            load = red.loads[side]
+            arrays[f"{name}/{side}/xy"] = load.xy
             for key in _LOAD_MAPS:
                 m = getattr(load, key)
-                arrays[f"{name}/{tag}/{key}"] = m.reshape(m.shape[0], m.shape[1] // 2, 2)
+                arrays[f"{name}/{side}/{key}"] = m.reshape(m.shape[0], m.shape[1] // 2, 2)
     for key in _interface_keys(config["components"]):
         blocks = reduced_interfaces[key]
         for st in _BLOCK_KEYS:
@@ -402,7 +405,7 @@ def read_model(path):
         raise _binio.FormatError(f"{path}: unreadable header: {exc!r}") from exc
 
     # shape symbols: the velocity and pressure modes of each component, the
-    # quadrature points of each of its boundary tags
+    # quadrature points of each of its sides
     r_u = {name: f"r_u of {name}" for name in names}
     r_p = {name: f"r_p of {name}" for name in names}
     layout = {"header": ("i8", ("header",))}
@@ -413,13 +416,13 @@ def read_model(path):
         layout[f"{name}/C"] = ("f8", (p, p))
         layout[f"{name}/pressure_mean"] = ("f8", (p,))
         for tag in tags[name]:
-            q = f"points of {name}/{tag}"
             layout[f"{name}/{tag}/K_di"] = ("f8", (u, u))
             layout[f"{name}/{tag}/B_di"] = ("f8", (p, u))
-            layout[f"{name}/{tag}/xy"] = ("f8", (q, 2))
-            layout[f"{name}/{tag}/dirichlet_u"] = ("f8", (u, q, 2))
-            layout[f"{name}/{tag}/dirichlet_p"] = ("f8", (p, q, 2))
-            layout[f"{name}/{tag}/neumann_u"] = ("f8", (u, q, 2))
+        for side in SIDES:
+            q = f"points of {name}/{side}"
+            layout[f"{name}/{side}/xy"] = ("f8", (q, 2))
+            layout[f"{name}/{side}/dirichlet_u"] = ("f8", (u, q, 2))
+            layout[f"{name}/{side}/dirichlet_p"] = ("f8", (p, q, 2))
     for key in _interface_keys(names):
         side = {"m": key[0], "n": key[1]}
         for st in _BLOCK_KEYS:
@@ -443,7 +446,7 @@ def read_model(path):
             C=arrays[f"{name}/C"],
             K_di={tag: arrays[f"{name}/{tag}/K_di"] for tag in tags[name]},
             B_di={tag: arrays[f"{name}/{tag}/B_di"] for tag in tags[name]},
-            loads={tag: load_builder(f"{name}/{tag}") for tag in tags[name]},
+            loads={side: load_builder(f"{name}/{side}") for side in SIDES},
             pressure_mean=arrays[f"{name}/pressure_mean"],
         )
         for name in names

@@ -3,7 +3,8 @@
 For one reference component this produces the viscous matrix, the
 divergence matrix, the pressure Laplacian (used only by the reduced
 pressure stabilization), the single-sided Nitsche blocks for weak Dirichlet
-boundaries, boundary load builders, and the nonlinear advection evaluator.
+boundaries and no-slip obstacle walls, the Dirichlet load builders of the
+four sides, and the nonlinear advection evaluator.
 Interface coupling between two components is assembled once per
 (component, component, orientation) configuration and reused for every
 grid interface with that configuration.
@@ -241,7 +242,7 @@ class AdvectionKernel:
 
 @dataclass
 class BoundaryLoadBuilder:
-    """Linear maps from boundary-data samples to load vectors of one side.
+    """Linear maps from Dirichlet data samples to the loads of one side.
 
     Data samples are the velocity values at the side's face quadrature
     points, flattened row-major as (point, component).  ``dirichlet_u``
@@ -251,43 +252,32 @@ class BoundaryLoadBuilder:
     xy: np.ndarray                 # (q_total, 2) quadrature points, local coords
     dirichlet_u: sp.csr_matrix     # (n_u, 2 q_total); dense once projected
     dirichlet_p: sp.csr_matrix     # (n_p, 2 q_total)
-    neumann_u: sp.csr_matrix       # (n_u, 2 q_total)
-
-    def eval_data(self, g: Callable, origin=np.zeros(2)) -> np.ndarray:
-        return np.asarray(g(self.xy + origin), dtype=float).reshape(-1)
 
     def dirichlet_loads(self, g: Callable, origin=np.zeros(2)):
-        gv = self.eval_data(g, origin)
+        gv = np.asarray(g(self.xy + origin), dtype=float).reshape(-1)
         return self.dirichlet_u @ gv, self.dirichlet_p @ gv
-
-    def neumann_load(self, g: Callable, origin=np.zeros(2)) -> np.ndarray:
-        return self.neumann_u @ self.eval_data(g, origin)
 
 
 @dataclass
 class ComponentOperators:
     """All assembled per-component blocks for one reference component.
 
-    The blocks that global assembly places (``K``, ``B``, ``K_di``,
-    ``B_di``) are kept in COO form, converted once per component.
+    The blocks that global assembly places (``K``, ``B``, ``C``, ``K_di``,
+    ``B_di``) are kept in COO form, built once per component.  Outflow sides
+    are homogeneous and obstacle walls no-slip, so only the four sides have
+    load builders, for their Dirichlet data.
     """
 
     space: TaylorHoodSpace
-    nu: float
-    gamma: float
     K: sp.coo_matrix
     B: sp.coo_matrix
+    C: sp.coo_matrix               # pressure block of the saddle system: empty
     K_di: dict                     # side/obstacle tag -> coo (n_u, n_u)
     B_di: dict                     # side/obstacle tag -> coo (n_p, n_u)
-    loads: dict                    # side/obstacle tag -> BoundaryLoadBuilder
+    loads: dict                    # side -> BoundaryLoadBuilder
     adv: AdvectionKernel
     pressure_mean: np.ndarray = field(repr=False, default=None)
     pressure_stiffness: sp.csr_matrix = field(repr=False, default=None)
-
-    @property
-    def C(self) -> sp.coo_matrix:
-        """Pressure block of the saddle system: empty at full order."""
-        return sp.coo_matrix((self.space.n_p, self.space.n_p))
 
     def forcing_load(self, f: Callable, origin=np.zeros(2)) -> np.ndarray:
         """Body-force load (u_test, f) with f given in global coordinates."""
@@ -314,9 +304,8 @@ def _dirichlet_face_terms(fd, nu, gamma):
     # load maps: columns indexed by (point, data component); the consistency
     # part carries the sign that cancels the symmetrizing term at u = g
     lu = np.einsum("q,qa->qa", fd.w, pen * fd.p2v - ndg)     # (q, a): same for both comps
-    lne = np.einsum("q,qa->qa", fd.w, fd.p2v)
     lp = np.einsum("q,qi,c->qci", fd.w, fd.p1v, fd.normal)
-    return a, b, lu, lne, lp
+    return a, b, lu, lp
 
 
 def _side_faces(mesh: ComponentMesh, tag: str):
@@ -326,7 +315,7 @@ def _side_faces(mesh: ComponentMesh, tag: str):
 
 
 def assemble_dirichlet_blocks(space: TaylorHoodSpace, tag: str, nu: float, gamma: float):
-    """Nitsche blocks and boundary load maps of one tagged boundary (side or O).
+    """Nitsche blocks and Dirichlet load maps of one tagged boundary (side or O).
 
     Returns ``(K_di, B_di, BoundaryLoadBuilder)``; each face's terms are
     computed once.
@@ -337,11 +326,10 @@ def assemble_dirichlet_blocks(space: TaylorHoodSpace, tag: str, nu: float, gamma
     n_cols = 2 * nq * len(faces)
     xy = np.zeros((nq * len(faces), 2))
     K, B = Triplets((n_u, n_u)), Triplets((n_p, n_u))
-    load_u, load_n = Triplets((n_u, n_cols)), Triplets((n_u, n_cols))
-    load_p = Triplets((n_p, n_cols))
+    load_u, load_p = Triplets((n_u, n_cols)), Triplets((n_p, n_cols))
     for f, bedge in enumerate(faces):
         fd = space.face_data(bedge)
-        a, b, lu, lne, lp = _dirichlet_face_terms(fd, nu, gamma)
+        a, b, lu, lp = _dirichlet_face_terms(fd, nu, gamma)
         xy[f * nq : (f + 1) * nq] = fd.xy
         nd = space.tri_nodes[fd.tri]
         verts = space.mesh.triangles[fd.tri]
@@ -349,10 +337,8 @@ def assemble_dirichlet_blocks(space: TaylorHoodSpace, tag: str, nu: float, gamma
         K.add_elements(nd, nd, a, ((0, 0), (ns, ns)))
         B.add_elements(verts, nd, [b[:, :, 0], b[:, :, 1]], ((0, 0), (0, ns)))
         load_u.add_elements(nd, cols, lu.T, ((0, 0), (ns, 1)))
-        load_n.add_elements(nd, cols, lne.T, ((0, 0), (ns, 1)))
         load_p.add_elements(verts, cols, [lp[:, 0, :].T, lp[:, 1, :].T], ((0, 0), (0, 1)))
-    loads = BoundaryLoadBuilder(xy, load_u.tocsr(), load_p.tocsr(), load_n.tocsr())
-    return K.tocoo(), B.tocoo(), loads
+    return K.tocoo(), B.tocoo(), BoundaryLoadBuilder(xy, load_u.tocsr(), load_p.tocsr())
 
 
 def build_component_operators(space: TaylorHoodSpace, nu: float) -> ComponentOperators:
@@ -360,18 +346,16 @@ def build_component_operators(space: TaylorHoodSpace, nu: float) -> ComponentOpe
     tags = list(SIDES)
     if any(t == OBSTACLE_TAG for t in space.mesh.boundary_tags):
         tags.append(OBSTACLE_TAG)
-    K_di, B_di, loads = {}, {}, {}
-    for tag in tags:
-        K_di[tag], B_di[tag], loads[tag] = assemble_dirichlet_blocks(space, tag, nu, gamma)
+    blocks = {tag: assemble_dirichlet_blocks(space, tag, nu, gamma) for tag in tags}
     return ComponentOperators(
         space=space,
-        nu=nu,
-        gamma=gamma,
         K=assemble_viscous(space, nu),
         B=assemble_divergence(space),
-        K_di=K_di,
-        B_di=B_di,
-        loads=loads,
+        C=sp.coo_matrix((space.n_p, space.n_p)),
+        K_di={tag: K_di for tag, (K_di, _, _) in blocks.items()},
+        B_di={tag: B_di for tag, (_, B_di, _) in blocks.items()},
+        # a no-slip wall carries no data
+        loads={side: blocks[side][2] for side in SIDES},
         adv=AdvectionKernel(space),
         pressure_mean=assemble_pressure_mean(space),
         pressure_stiffness=assemble_pressure_stiffness(space),

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cromflow._binio import FormatError, read_arrays, write_arrays
 from cromflow.eqp import RULE_MAGIC, EqpRule, load_rule, save_rule
 from cromflow.fom import SOLUTION_MAGIC, load_solution, save_solution
-from cromflow.geometry import TAGS
+from cromflow.geometry import SIDES, TAGS
 from cromflow.harness import ExperimentConfig
 from cromflow.reduction import (
     BASIS_MAGIC,
@@ -85,17 +85,19 @@ def make_model(rng, name):
     """A one-component reduced model: (config, reduced operators, interface blocks)."""
     r_u, r_p = int(rng.integers(0, 5)), int(rng.integers(0, 4))
     basis = make_basis(rng, name)
-    loads, K_di, B_di = {}, {}, {}
-    for tag in TAGS[: int(rng.integers(1, len(TAGS) + 1))]:
+    # Nitsche blocks for the four sides and maybe an obstacle wall; load
+    # maps for the sides only
+    K_di, B_di, loads = {}, {}, {}
+    for tag in TAGS[: int(rng.integers(len(SIDES), len(TAGS) + 1))]:
+        K_di[tag] = rng.standard_normal((r_u, r_u))
+        B_di[tag] = rng.standard_normal((r_p, r_u))
+    for side in SIDES:
         q = int(rng.integers(0, 4))
-        loads[tag] = BoundaryLoadBuilder(
+        loads[side] = BoundaryLoadBuilder(
             rng.random((q, 2)),
             rng.standard_normal((r_u, 2 * q)),
             rng.standard_normal((r_p, 2 * q)),
-            rng.standard_normal((r_u, 2 * q)),
         )
-        K_di[tag] = rng.standard_normal((r_u, r_u))
-        B_di[tag] = rng.standard_normal((r_p, r_u))
     K = rng.standard_normal((r_u, r_u))
     K.flat[: SPECIAL.size] = SPECIAL[: K.size]
     red = ReducedComponentOperators(
@@ -151,13 +153,14 @@ ARTIFACTS = {
     ),
 }
 KINDS = sorted(ARTIFACTS)
-# the magics of the layouts before the current one; the reduced model has none
+# the magics of the layouts before the current one
 OLD_MAGICS = {
     "basis": b"CROMBAS2",
     "tensor": b"CROMTEN1",
     "rule": b"CROMEQP2",
     "solution": b"CROMSOL1",
     "rom_solution": b"CROMRSOL1",
+    "rom_model": b"CROMROM1",
 }
 
 
@@ -179,11 +182,11 @@ def model_fields(obj) -> dict:
     for name, red in reduced.items():
         for key in ("K", "B", "C", "pressure_mean"):
             out[name, key] = _bits(getattr(red, key))
-        for tag, load in red.loads.items():
-            out[name, tag] = tuple(
-                _bits(a)
-                for a in (red.K_di[tag], red.B_di[tag], load.xy,
-                          load.dirichlet_u, load.dirichlet_p, load.neumann_u)
+        for tag in red.K_di:
+            out[name, tag] = (_bits(red.K_di[tag]), _bits(red.B_di[tag]))
+        for side, load in red.loads.items():
+            out[name, side, "loads"] = tuple(
+                _bits(a) for a in (load.xy, load.dirichlet_u, load.dirichlet_p)
             )
     for key, blocks in interfaces.items():
         out[key] = {st: (_bits(blocks.K[st]), _bits(blocks.B[st])) for st in blocks.K}

@@ -3,7 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from cromflow.femspace import TaylorHoodSpace
-from cromflow.geometry import ComponentMesh, generate_empty_mesh, generate_obstacle_mesh
+from cromflow.geometry import (
+    ComponentMesh,
+    SideBC,
+    generate_empty_mesh,
+    generate_obstacle_mesh,
+)
 from cromflow.weakforms import (
     Triplets,
     assemble_dirichlet_blocks,
@@ -294,6 +299,14 @@ class TestDirichletBlocks:
         assert "O" in ops.K_di
         assert ops.K_di["O"].nnz > 0
 
+    @pytest.mark.parametrize("shape,half_width", [("square", 0.25), ("circle", 0.2)])
+    def test_only_the_sides_have_loads(self, shape, half_width):
+        # the obstacle wall is no-slip: Nitsche blocks, but no data to load
+        space = TaylorHoodSpace(generate_obstacle_mesh(4, shape, half_width))
+        ops = build_component_operators(space, NU)
+        assert list(ops.K_di) == list(ops.B_di) == ["L", "R", "B", "T", "O"]
+        assert list(ops.loads) == ["L", "R", "B", "T"]
+
 
 class TestRhs:
     def test_zero_data_zero_rhs(self, ops):
@@ -320,10 +333,12 @@ class TestRhs:
         assert abs(L[: space.n_scalar].sum() - 1.0) < 1e-13
         assert np.abs(L[space.n_scalar :]).max() < 1e-15
 
-    def test_neumann_data_load(self, ops, space):
+    def test_neumann_side_takes_no_data(self):
+        # a neumann side is homogeneous outflow: a traction is refused
         g = lambda xy: np.stack([np.ones(len(xy)), np.zeros(len(xy))], axis=-1)
-        L_u = ops.loads["R"].neumann_load(g)
-        assert abs(L_u[: space.n_scalar].sum() - 1.0) < 1e-13
+        with pytest.raises(ValueError, match="homogeneous outflow"):
+            SideBC("neumann", g)
+        assert SideBC("neumann").velocity is None
 
 
 class TestConsistency:
