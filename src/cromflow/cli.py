@@ -142,8 +142,8 @@ def cmd_predict_fom(args):
         fom.export_vtk(args.out_dir / "fom_solution.vtk", grid, parts.spaces, u, p)
     print(
         f"{args.grid_size}x{args.grid_size} FOM: converged={report.converged} "
-        f"iterations={report.newton_iterations} dofs={system.n_dof} "
-        f"time={report.wall_times['total']:.2f}s"
+        f"iterations={report.newton_iterations} factorizations={len(report.fill_nnz)} "
+        f"dofs={system.n_dof} time={report.wall_times['total']:.2f}s"
     )
 
 
@@ -164,7 +164,8 @@ def cmd_predict_rom(args):
     print(
         f"{args.grid_size}x{args.grid_size} ROM ({args.backend}): "
         f"converged={report.converged} iterations={report.newton_iterations} "
-        f"dim={system.n_dof} time={report.wall_times['total']:.3f}s"
+        f"factorizations={len(report.fill_nnz)} dim={system.n_dof} "
+        f"time={report.wall_times['total']:.3f}s"
     )
 
 

@@ -9,10 +9,13 @@ operators, summed into one sparse matrix; in the reduced system they are
 their dense projections, summed into dense cell blocks.  The steady
 nonlinear problem is solved by one Newton-Raphson loop on one residual;
 each system supplies its Newton matrix (the saddle operator plus the
-advection Jacobian) and a direct factorization of it.  The full-order
-system starts from a Stokes solve; the Stokes matrix and every Newton
-matrix share one sparse pattern, built once, and SuperLU orders the
-unknowns once per solve, at the Stokes start.
+advection Jacobian) and a direct factorization of it.  Once Newton
+contracts fast, a step solves its matrix by GMRES, right-preconditioned by
+the latest factorization, instead of factoring it (inexact Newton,
+Eisenstat & Walker, SISC 17, 1996, with a frozen preconditioner, Knoll &
+Keyes, JCP 193, 2004).  The full-order system starts from a Stokes solve;
+the Stokes matrix and every Newton matrix share one sparse pattern, built
+once, and SuperLU orders the unknowns once per solve, at the Stokes start.
 """
 
 from __future__ import annotations
@@ -39,6 +42,14 @@ _SIDE_OF_CELL = {
     "T": lambda col, row, grid: row == grid.rows - 1,
 }
 
+# a Newton step reuses the latest LU when the step before it cut the
+# residual norm below this fraction of the one before
+_REUSE_BELOW = 0.1
+# the reused LU preconditions one GMRES cycle of this many iterations, which
+# must bring the linear residual below this fraction of the Newton target
+_GMRES_RESTART = 30
+_GMRES_TOL = 1e-3
+
 
 def saddle_lu(mat, permc_spec: str = "COLAMD"):
     """SuperLU factorization of a saddle matrix in symmetric mode.
@@ -62,10 +73,16 @@ class SolveReport:
     # entries stored by each Newton factorization (LU fill), one per
     # factorization; the full-order Stokes start is not counted
     fill_nnz: list
+    # one per iteration: whether GMRES on the kept LU solved the step, and
+    # its GMRES iterations (0 where none ran; a failed attempt, which the
+    # step's factorization follows, keeps its count)
+    reused_lu: list
+    gmres_iterations: list
     # seconds: assembly; the Newton phases jacobian (advection Jacobian),
     # saddle (the Newton matrix: the linear saddle blocks plus the Jacobian),
     # factorization (LU; the full-order Stokes start counts here too), solve
-    # (back-solve and update) and residual; total, from the start of the solve
+    # (back-solve, GMRES and update) and residual; total, from the start of
+    # the solve
     wall_times: dict
     converged: bool
     message: str = ""
@@ -265,44 +282,83 @@ def _timed(times: dict, phase: str):
         times[phase] += time.perf_counter() - t0
 
 
+def _gmres_step(jac, lu, r: np.ndarray, atol: float):
+    """The Newton step ``jac⁻¹ (−r)`` by one GMRES cycle on ``jac · lu⁻¹``.
+
+    Right preconditioning by an older factorization ``lu`` keeps GMRES on
+    the true linear residual ``jac · step + r``, which must fall to
+    ``atol``.  Returns (step, or None where GMRES fell short, iterations).
+    """
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    op = spla.LinearOperator(jac.shape, matvec=lambda y: jac @ lu.solve(y), dtype=float)
+    y, info = spla.gmres(
+        op, -r, restart=_GMRES_RESTART, maxiter=1, rtol=0.0, atol=atol,
+        callback=count, callback_type="pr_norm",
+    )
+    return (lu.solve(y) if info == 0 else None), iterations
+
+
 def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
     """Newton-Raphson on a block system from the stacked state ``x``.
 
     Each step asks the system for its Newton matrix
-    (``newton_matrix(advection_jacobian(u))``) and a factorization of it
-    (``factorize``); ``t_start`` and ``t_fact`` are the solve's start time
-    and the factorization seconds it has spent before the loop.  A singular
-    factorization (``RuntimeError``), a non-finite residual or ``max_iter``
-    steps without reaching the tolerance end the loop with a non-converged
-    report whose ``message`` says which.  Returns (u, p, report).
+    (``newton_matrix(advection_jacobian(u))``).  The latest factorization
+    (``factorize``) is kept: once the previous step cut the residual norm
+    below ``_REUSE_BELOW`` of the one before, a step solves its matrix by
+    one GMRES cycle right-preconditioned by that LU, to ``_GMRES_TOL`` of
+    the Newton target.  Otherwise, or where GMRES falls short, the step
+    drops the old LU and factors its own matrix.  ``t_start`` and ``t_fact``
+    are the solve's start time and the factorization seconds it has spent
+    before the loop.  A singular factorization (``RuntimeError``), a
+    non-finite residual or ``max_iter`` steps without reaching the tolerance
+    end the loop with a non-converged report whose ``message`` says which.
+    Returns (u, p, report).
     """
     times = dict.fromkeys(("jacobian", "saddle", "factorization", "solve", "residual"), 0.0)
     times["factorization"] = t_fact
     with _timed(times, "residual"):
         r = system.residual(x)
     history = [float(np.linalg.norm(r))]
-    step_norms, fill_nnz = [], []
+    step_norms, fill_nnz, reused_lu, gmres_iterations = [], [], [], []
     target = max(tol_rel * history[0], tol_abs)
     converged = history[0] <= target
     message = ""
+    lu = None  # the latest factorization; at most one is alive
     it = 0
     while not converged and it < max_iter:
+        if lu is not None and history[-1] >= _REUSE_BELOW * history[-2]:
+            lu = None  # this step factors: the old LU goes before its matrix is built
         u, _ = system._split(x)
         with _timed(times, "jacobian"):
             adv = system.advection_jacobian(u)
         with _timed(times, "saddle"):
             jac = system.newton_matrix(adv)
-        try:
-            with _timed(times, "factorization"):
-                lu = system.factorize(jac)
-        except RuntimeError as exc:
-            message = f"singular Newton factorization: {exc}"
-            break
+        step, iterations = None, 0
+        if lu is not None:
+            with _timed(times, "solve"):
+                step, iterations = _gmres_step(jac, lu, r, _GMRES_TOL * target)
+        reused = step is not None
+        if not reused:
+            lu = None  # freed before the refactorization
+            try:
+                with _timed(times, "factorization"):
+                    lu = system.factorize(jac)
+            except RuntimeError as exc:
+                message = f"singular Newton factorization: {exc}"
+                break
+            fill_nnz.append(int(lu.nnz))
+        del jac  # freed before the next step builds its own
         with _timed(times, "solve"):
-            step = lu.solve(-r)
+            if not reused:
+                step = lu.solve(-r)
             x = x + step
-        fill_nnz.append(int(lu.nnz))
-        del lu, jac  # freed before the next step factors
+        reused_lu.append(reused)
+        gmres_iterations.append(iterations)
         step_norms.append(float(np.linalg.norm(step)))
         with _timed(times, "residual"):
             r = system.residual(x)
@@ -321,6 +377,8 @@ def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
         residual_history=history,
         step_norms=step_norms,
         fill_nnz=fill_nnz,
+        reused_lu=reused_lu,
+        gmres_iterations=gmres_iterations,
         wall_times={
             "assembly": system.assembly_time,
             **times,

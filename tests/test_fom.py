@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -470,8 +471,9 @@ class TestNewtonPattern:
         monkeypatch.setattr(fom, "saddle_lu", recording)
         u, p, report = solve_newton(assemble_global(grid, ops, blocks), tol_rel=1e-12)
         assert report.converged and report.newton_iterations >= 3
-        # the Stokes start, on the Newton pattern, orders; every Newton step reuses
-        assert specs == ["COLAMD"] + ["NATURAL"] * report.newton_iterations
+        # the Stokes start, on the Newton pattern, orders; every Newton
+        # factorization reuses that ordering
+        assert specs == ["COLAMD"] + ["NATURAL"] * len(report.fill_nnz)
 
         # the reference orders afresh at every Newton step
         monkeypatch.setattr(fom.GlobalFomSystem, "factorize", lambda self, mat: factorize(mat))
@@ -495,6 +497,100 @@ class TestNewtonPattern:
         x = lu.solve(b)
         assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
         assert lu.nnz > mat.nnz
+
+
+def failing_gmres(op, b, **options):
+    """A GMRES that reports failure without iterating."""
+    return np.zeros_like(b), 1
+
+
+def refuse_a_second_live_lu(monkeypatch):
+    """Make every full-order factorization fail while an earlier one is alive."""
+    factorize, alive = fom.GlobalFomSystem.factorize, []
+
+    class Held:  # SuperLU objects take no weak references
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+    def checked(self, mat):
+        assert all(ref() is None for ref in alive), "an earlier LU is still alive"
+        held = Held(factorize(self, mat))
+        alive.append(weakref.ref(held))
+        return held
+
+    monkeypatch.setattr(fom.GlobalFomSystem, "factorize", checked)
+
+
+class TestLuReuse:
+    def test_reuse_matches_refactoring_every_step(self, mixed_parts, monkeypatch):
+        ops, blocks = mixed_parts
+        grid = mixed_3x3_grid(True)
+        refuse_a_second_live_lu(monkeypatch)
+        u, p, report = solve_newton(assemble_global(grid, ops, blocks))
+        monkeypatch.setattr(fom.spla, "gmres", failing_gmres)
+        u_ref, p_ref, ref = solve_newton(assemble_global(grid, ops, blocks))
+        assert report.converged and ref.converged
+        assert report.newton_iterations == ref.newton_iterations
+        x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert any(report.reused_lu) and not any(ref.reused_lu)
+        assert len(report.fill_nnz) < len(ref.fill_nnz) == ref.newton_iterations
+        assert len(report.fill_nnz) == report.newton_iterations - sum(report.reused_lu)
+        # GMRES ran on the reused steps only, and solved each
+        assert [k > 0 for k in report.gmres_iterations] == report.reused_lu
+        assert ref.gmres_iterations == [0] * ref.newton_iterations
+
+    def test_gmres_failure_refactors_on_the_same_step(self, mixed_parts, monkeypatch):
+        ops, blocks = mixed_parts
+        grid = mixed_3x3_grid(True)
+        _, _, report = solve_newton(assemble_global(grid, ops, blocks))
+        gmres = fom.spla.gmres
+
+        def short(op, b, **options):  # iterates, then reports failure
+            y, _ = gmres(op, b, **options)
+            return y, 1
+
+        monkeypatch.setattr(fom.spla, "gmres", short)
+        refuse_a_second_live_lu(monkeypatch)
+        _, _, failed = solve_newton(assemble_global(grid, ops, blocks))
+        assert failed.converged and failed.newton_iterations == report.newton_iterations
+        assert not any(failed.reused_lu)
+        # every step factors, a failed attempt's included
+        assert len(failed.fill_nnz) == failed.newton_iterations
+        # and the attempts' iterations stay where the kept LU was tried
+        assert [k > 0 for k in failed.gmres_iterations] == report.reused_lu
+
+    def test_singular_factorization_after_a_reused_step(self, mixed_parts, monkeypatch):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(True), ops, blocks)
+        gmres, factorize = fom.spla.gmres, fom.GlobalFomSystem.factorize
+        solved = []
+
+        def once(op, b, **options):  # solves the first reused step only
+            if solved:
+                return failing_gmres(op, b)
+            solved.append(True)
+            return gmres(op, b, **options)
+
+        def singular_after_reuse(self, mat):
+            if solved:
+                raise RuntimeError("Factor is exactly singular")
+            return factorize(self, mat)
+
+        monkeypatch.setattr(fom.spla, "gmres", once)
+        monkeypatch.setattr(fom.GlobalFomSystem, "factorize", singular_after_reuse)
+        u, p, report = solve_newton(system)
+        assert not report.converged
+        assert "singular" in report.message
+        # the reused step counts; the step whose factorization failed does not
+        assert report.reused_lu[-1] and sum(report.reused_lu) == 1
+        assert len(report.fill_nnz) == report.newton_iterations - 1
+        assert len(report.gmres_iterations) == len(report.step_norms) == report.newton_iterations
+        assert len(report.residual_history) == report.newton_iterations + 1
+        assert u.shape == (system.n_u,) and p.shape == (system.n_p,)
 
 
 class TestMms:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cromflow import rom
+from cromflow import fom, rom
 from cromflow.blocklu import BlockLU, nested_dissection
 from cromflow.eqp import EqpRule
 from cromflow.femspace import TaylorHoodSpace
@@ -326,14 +326,34 @@ class TestSolve:
         assert set(rep_f.wall_times) == set(rep_r.wall_times) == keys
         for rep in (rep_f, rep_r):
             assert len(rep.step_norms) == rep.newton_iterations
-            # one LU fill per Newton factorization
-            assert len(rep.fill_nnz) == rep.newton_iterations
+            # one LU fill per Newton factorization, and a step either
+            # factors or reuses the latest LU
+            assert len(rep.fill_nnz) == rep.newton_iterations - sum(rep.reused_lu)
+            assert len(rep.reused_lu) == len(rep.gmres_iterations) == rep.newton_iterations
             assert all(type(k) is int and k > 0 for k in rep.fill_nnz)
         assert rep_r.newton_iterations > 0
         assert rep_r.wall_times["factorization"] > 0.0
         assert all(rep_r.wall_times[k] > 0.0 for k in NEWTON_PHASES)
         assert_phases_within_total(rep_f)
         assert_phases_within_total(rep_r)
+
+    def test_lu_reuse_matches_refactoring_every_step(self, parts, monkeypatch):
+        space, ops, blocks = parts
+        basis = random_basis(space, 8, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
+        uh, ph, report = solve_rom_newton(assemble_global_rom(grid, reduced, riface))
+        # a GMRES that reports failure: every step factors
+        monkeypatch.setattr(fom.spla, "gmres", lambda op, b, **options: (np.zeros_like(b), 1))
+        uh_ref, ph_ref, ref = solve_rom_newton(assemble_global_rom(grid, reduced, riface))
+        assert report.converged and ref.converged
+        assert report.newton_iterations == ref.newton_iterations
+        x, x_ref = np.concatenate([uh, ph]), np.concatenate([uh_ref, ph_ref])
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert any(report.reused_lu) and not any(ref.reused_lu)
+        assert len(report.fill_nnz) < len(ref.fill_nnz) == ref.newton_iterations
+        assert [k > 0 for k in report.gmres_iterations] == report.reused_lu
 
     def test_singular_factorization_is_reported(self, parts):
         space, ops, blocks = parts
