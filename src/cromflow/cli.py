@@ -35,8 +35,8 @@ def _load_config(args) -> harness.ExperimentConfig:
 # the config keys that shape the snapshot draws and solves; snapshots are
 # refused under others
 SNAPSHOT_CONFIG_KEYS = (
-    "n_per_side", "components", "square_half_width", "circle_half_width", "reynolds",
-    "train_samples", "train_rows", "train_cols", "seed", "newton_tol", "newton_max_iter",
+    "n_per_side", "components", "reynolds", "train_samples", "seed", "newton_tol",
+    "newton_max_iter",
 )
 
 
@@ -65,7 +65,7 @@ def _load_snapshots(out_dir: Path, cfg, parts) -> dict:
             raise _binio.FormatError(
                 f"{path}: no readable config ({exc!r}); run sample again"
             ) from exc
-        rom.check_config(path, stored, cfg, SNAPSHOT_CONFIG_KEYS)
+        rom.check_config(path, stored, cfg, SNAPSHOT_CONFIG_KEYS, rerun="sample")
         sets[name] = reduction.SnapshotSet(name, u, p)
     return sets
 
@@ -115,8 +115,7 @@ def cmd_train_eqp(args):
     bases = _load_bases(args.out_dir, cfg, parts)
     snapshots = _load_snapshots(args.out_dir, cfg, parts)
     for name in cfg.components:
-        ops = parts.operators[name]
-        rule = harness.train_eqp_rule(cfg, ops, bases[name], snapshots[name])
+        rule = harness.train_eqp_rule(parts.operators[name], bases[name], snapshots[name])
         save_rule(rule, args.out_dir / f"eqp_{name}.bin")
         print(f"{name}: {rule.n_points} points, residual {rule.residual:.3e} (eps {rule.eps:.3e})")
 

@@ -22,6 +22,9 @@ _SIDE_LEVEL = {"L": 0.0, "R": 1.0, "B": 0.0, "T": 1.0}
 
 GEOM_TOL = 1e-12
 
+# half width of the centered obstacle of each obstacle component, by shape
+OBSTACLE_HALF_WIDTHS = {"square": 0.25, "circle": 0.2}
+
 
 class MeshError(ValueError):
     """Invalid mesh topology or geometry."""
@@ -181,7 +184,7 @@ def generate_obstacle_mesh(n_per_side: int, shape: str, half_width: float) -> Co
     n = int(n_per_side)
     if n < 2:
         raise ValueError("n_per_side must be at least 2")
-    if shape not in ("square", "circle"):
+    if shape not in OBSTACLE_HALF_WIDTHS:
         raise ValueError(f"unknown obstacle shape {shape!r}")
     hw = float(half_width)
     if not 0.0 < hw < 0.5:
@@ -226,19 +229,18 @@ def generate_obstacle_mesh(n_per_side: int, shape: str, half_width: float) -> Co
 
 def build_component_meshes(cfg) -> dict:
     """Mesh of each component named in ``cfg.components``, at ``cfg.n_per_side``
-    segments per side with the configured obstacle half widths."""
+    segments per side; an obstacle has its half width in :data:`OBSTACLE_HALF_WIDTHS`."""
     meshes = {}
     for name in cfg.components:
         if name == "empty":
             meshes[name] = generate_empty_mesh(cfg.n_per_side)
-        elif name == "square":
-            meshes[name] = generate_obstacle_mesh(cfg.n_per_side, "square", cfg.square_half_width)
-        elif name == "circle":
-            meshes[name] = generate_obstacle_mesh(cfg.n_per_side, "circle", cfg.circle_half_width)
+        elif name in OBSTACLE_HALF_WIDTHS:
+            meshes[name] = generate_obstacle_mesh(cfg.n_per_side, name, OBSTACLE_HALF_WIDTHS[name])
         else:
+            *head, last = map(repr, ("empty", *OBSTACLE_HALF_WIDTHS))
             raise ValueError(
                 f"unknown component {name!r}; supported components are "
-                "'empty', 'square' and 'circle'"
+                f"{', '.join(head)} and {last}"
             )
     return meshes
 

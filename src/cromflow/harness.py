@@ -42,6 +42,9 @@ from .weakforms import assemble_interface_blocks, build_component_operators
 
 log = logging.getLogger("cromflow")
 
+# rows and columns of every training array
+TRAIN_SHAPE = (2, 2)
+
 
 @dataclass
 class InflowSample:
@@ -128,16 +131,11 @@ class ExperimentConfig:
 
     n_per_side: int = 8
     components: tuple = ("empty", "square", "circle")
-    square_half_width: float = 0.25
-    circle_half_width: float = 0.2
     reynolds: float = 25.0
     train_samples: int = 200
-    train_rows: int = 2
-    train_cols: int = 2
     basis_size: int = 30                      # velocity modes R_u
     pressure_basis_size: Optional[int] = None  # defaults to basis_size
     supremizer_size: Optional[int] = None      # defaults to pressure basis size
-    eqp_tol: Optional[float] = None            # defaults to the missing-energy ratio
     predict_sizes: tuple = (2, 4, 8)
     tests_per_size: int = 20
     seed: int = 0
@@ -217,14 +215,13 @@ def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
+    rows, cols = TRAIN_SHAPE
     columns = {name: ([], []) for name in cfg.components}
     skipped = 0
     for i in range(cfg.train_samples):
-        cells = random_cells(rng, cfg.train_rows, cfg.train_cols, cfg.components)
+        cells = random_cells(rng, rows, cols, cfg.components)
         sample = sample_inflow(rng)
-        grid = GridConfig(
-            cfg.train_rows, cfg.train_cols, cells, cfg.viscosity, bc_from_sample(sample)
-        )
+        grid = GridConfig(rows, cols, cells, cfg.viscosity, bc_from_sample(sample))
         system = assemble_global(grid, parts.operators, parts.interface_blocks)
         try:
             u, p, report = solve_newton(
@@ -296,21 +293,14 @@ def train_model(
         red = reduced[name]
         red.tensor = build_advection_tensor(parts.operators[name], bases[name].phi_u)
         if with_eqp:
-            red.eqp_rule = train_eqp_rule(
-                cfg, parts.operators[name], bases[name], snapshots[name]
-            )
+            red.eqp_rule = train_eqp_rule(parts.operators[name], bases[name], snapshots[name])
     return TrainedModel(cfg, parts, snapshots, reduced, riface)
 
 
-def train_eqp_rule(cfg: ExperimentConfig, ops, basis, snapshots):
-    """EQP rule of one component, trained to the threshold ``rule.eps``.
-
-    The threshold is ``cfg.eqp_tol``, or the missing-energy ratio of the
-    velocity basis when that is unset.
-    """
-    eps = cfg.eqp_tol
-    if eps is None:
-        eps = missing_energy(basis.sigma_u, basis.R_u)
+def train_eqp_rule(ops, basis, snapshots):
+    """EQP rule of one component, trained to the threshold ``rule.eps``: the
+    missing-energy ratio of the velocity basis."""
+    eps = missing_energy(basis.sigma_u, basis.R_u)
     manifest = build_manifest(ops, basis.phi_u, snapshots)
     rule = train_rule(manifest, ops, basis.phi_u, eps)
     log.info(

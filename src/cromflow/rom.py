@@ -56,8 +56,6 @@ MODEL_FILE = "reduced_model.bin"
 MODEL_CONFIG_KEYS = (
     "n_per_side",
     "components",
-    "square_half_width",
-    "circle_half_width",
     "reynolds",
     "basis_size",
     "pressure_basis_size",
@@ -328,9 +326,16 @@ def model_config(cfg, keys=MODEL_CONFIG_KEYS) -> dict:
     return json.loads(json.dumps({key: getattr(cfg, key) for key in keys}))
 
 
-def check_config(path, stored: Mapping, cfg, keys=MODEL_CONFIG_KEYS) -> None:
-    """Refuse a file written under other values of ``keys`` than ``cfg`` has,
-    naming the file and the first key that differs."""
+def check_config(path, stored: Mapping, cfg, keys=MODEL_CONFIG_KEYS, rerun="train") -> None:
+    """Refuse a file that stores a config key outside ``keys`` or was written
+    under other values of ``keys`` than ``cfg`` has, naming the file and the
+    first such key; ``rerun`` is the command that writes the file anew."""
+    extra = sorted(set(stored) - set(keys))
+    if extra:
+        raise _binio.FormatError(
+            f"{path}: stores the config key {extra[0]!r}, which is no longer read; "
+            f"run {rerun} again"
+        )
     for key, value in model_config(cfg, keys).items():
         if stored.get(key) != value:
             raise _binio.FormatError(
@@ -470,11 +475,12 @@ def load_model(out_dir, cfg, backends):
     and/or quadrature rules (EQP); builds no mesh, space or full-order
     operator.
 
-    Raises :class:`~cromflow._binio.FormatError` when the model was trained
-    under other values of :data:`MODEL_CONFIG_KEYS` than ``cfg`` has, or
-    when the model or a rule was derived from another velocity basis than
-    the one stored.  The meshes depend on config keys alone, so the
-    checksums also tie each basis to the meshes of ``cfg``.
+    Raises :class:`~cromflow._binio.FormatError` when the model stores a
+    config key outside :data:`MODEL_CONFIG_KEYS` or was trained under other
+    values of them than ``cfg`` has, or when the model or a rule was derived
+    from another velocity basis than the one stored.  The meshes depend on
+    ``n_per_side`` and ``components`` alone, so the checksums also tie each
+    basis to the meshes of ``cfg``.
     """
     out_dir = Path(out_dir)
     path = out_dir / MODEL_FILE

@@ -1,12 +1,16 @@
 import csv
 import json
+import re
 import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cromflow.geometry import SIDES
 from cromflow.harness import (
+    TRAIN_SHAPE,
     ExperimentConfig,
     bc_from_sample,
     build_component_meshes,
@@ -145,11 +149,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_json(path)
 
-    def test_removed_timing_repeats_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "timing_repeats",
+            "square_half_width",
+            "circle_half_width",
+            "eqp_tol",
+            "train_rows",
+            "train_cols",
+        ],
+    )
+    def test_removed_config_key_rejected(self, tmp_path, key):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"timing_repeats": 3}))
-        with pytest.raises(ValueError, match="unknown config keys: \\['timing_repeats'\\]"):
+        path.write_text(json.dumps({key: 3}))
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{key}']")):
             ExperimentConfig.from_json(path)
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config keys (JSON)", 1)[1].split("\n#", 1)[0]
+        listed = [
+            key
+            for line in section.splitlines()
+            if line.startswith("| `")
+            for key in re.findall(r"`(\w+)`", line.split("|")[1])
+        ]
+        assert sorted(listed) == sorted(f.name for f in fields(ExperimentConfig))
 
     def test_unknown_component_names_the_supported_ones(self):
         cfg = ExperimentConfig(n_per_side=4, components=("empty", "hexagon"))
@@ -226,11 +252,10 @@ class TestSelfConsistency:
 
         cfg = tiny_model.cfg
         rng = np.random.default_rng(cfg.seed)
-        cells = random_cells(rng, cfg.train_rows, cfg.train_cols, cfg.components)
+        rows, cols = TRAIN_SHAPE
+        cells = random_cells(rng, rows, cols, cfg.components)
         sample = sample_inflow(rng)          # the first training condition
-        grid = GridConfig(
-            cfg.train_rows, cfg.train_cols, cells, cfg.viscosity, bc_from_sample(sample)
-        )
+        grid = GridConfig(rows, cols, cells, cfg.viscosity, bc_from_sample(sample))
         fom_sys = assemble_global(
             grid, tiny_model.parts.operators, tiny_model.parts.interface_blocks
         )
@@ -547,6 +572,41 @@ class TestStoredModel:
             match=r"reduced_model\.bin: trained with reynolds=25\.0, the config has 30\.0",
         ):
             main(argv)
+
+    def test_files_storing_a_removed_config_key_rejected(self, tiny_artifacts, tmp_path):
+        from cromflow import _binio
+        from cromflow.cli import main
+        from cromflow.fom import load_solution, save_solution
+        from cromflow.rom import MODEL_MAGIC
+
+        out, common = copy_artifacts(tiny_artifacts, tmp_path)
+        # a model whose header still records an obstacle half width
+        model = out / "reduced_model.bin"
+        arrays = _binio.read_arrays(model, MODEL_MAGIC, {}, extra=True)
+        header = json.loads(_binio.array_text(arrays["header"]))
+        header["config"]["square_half_width"] = 0.25
+        arrays["header"] = _binio.text_array(json.dumps(header))
+        _binio.write_arrays(model, MODEL_MAGIC, arrays)
+        with pytest.raises(
+            _binio.FormatError,
+            match=r"reduced_model\.bin: stores the config key 'square_half_width'"
+            r".*; run train again",
+        ):
+            main(["predict-rom", *common, "--grid-size", "2"])
+
+        # a snapshot file likewise
+        snapshots = out / "snapshots_empty.bin"
+        data = load_solution(snapshots)
+        config = json.loads(_binio.array_text(data["config"]))
+        config["square_half_width"] = 0.25
+        data["config"] = _binio.text_array(json.dumps(config))
+        save_solution(snapshots, data.pop("u"), data.pop("p"), data)
+        with pytest.raises(
+            _binio.FormatError,
+            match=r"snapshots_empty\.bin: stores the config key 'square_half_width'"
+            r".*; run sample again",
+        ):
+            main(["train", *common])
 
     def test_artifacts_of_a_replaced_basis_rejected(self, tiny_artifacts, tmp_path):
         from cromflow._binio import FormatError
