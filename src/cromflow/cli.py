@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _binio, fom, geometry, harness, reduction, rom
+from . import _binio, fom, harness, reduction, rom
 from .eqp import save_rule
 from .reduction import check_rows, load_basis, save_basis, save_tensor
 
@@ -122,11 +122,8 @@ def cmd_train_eqp(args):
 
 def _grid_from_args(args, cfg):
     """The random array of ``--grid-size`` drawn from the config seed."""
-    rng = np.random.default_rng(cfg.seed)
     L = args.grid_size
-    cells = harness.random_cells(rng, L, L, cfg.components)
-    sample = harness.sample_inflow(rng)
-    return geometry.GridConfig(L, L, cells, cfg.viscosity, harness.bc_from_sample(sample))
+    return harness.random_grid(np.random.default_rng(cfg.seed), L, L, cfg)[0]
 
 
 def cmd_predict_fom(args):

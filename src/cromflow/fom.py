@@ -7,9 +7,10 @@ placed at those offsets, once, into one linear saddle operator over the
 whole stacked state.  At full order the blocks are the sparse component
 operators, summed into one sparse matrix; in the reduced system they are
 their dense projections, summed into dense cell blocks.  The steady
-nonlinear problem is solved by one Newton-Raphson loop on one residual;
-each system supplies its Newton matrix (the saddle operator plus the
-advection Jacobian) and a direct factorization of it.  Once Newton
+nonlinear problem is solved by one Newton-Raphson function on one
+residual, :func:`solve_newton`, the only solve entry of both systems; each
+system supplies its start state, its Newton matrix (the saddle operator
+plus the advection Jacobian) and a direct factorization of it.  Once Newton
 contracts fast, a step solves its matrix by GMRES, right-preconditioned by
 the latest factorization, instead of factoring it (inexact Newton,
 Eisenstat & Walker, SISC 17, 1996, with a frozen preconditioner, Knoll &
@@ -32,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from . import _binio
 from .geometry import GridConfig, SIDES, interface_topology
-from .weakforms import ComponentOperators, Triplets
+from .weakforms import Triplets
 
 # global sides touching a subdomain, by grid position
 _SIDE_OF_CELL = {
@@ -80,12 +81,12 @@ class SolveReport:
     gmres_iterations: list
     # seconds: assembly; the Newton phases jacobian (advection Jacobian),
     # saddle (the Newton matrix: the linear saddle blocks plus the Jacobian),
-    # factorization (LU; the full-order Stokes start counts here too), solve
-    # (back-solve, GMRES and update) and residual; total, from the start of
-    # the solve
+    # factorization (LU, and the start state: the full-order Stokes solve),
+    # solve (back-solve, GMRES and update) and residual; total, from the
+    # start of the solve
     wall_times: dict
     converged: bool
-    message: str = ""
+    message: str = ""    # why not converged: failed start, singular LU, divergence, max_iter
 
 
 @dataclass(kw_only=True)
@@ -103,11 +104,13 @@ class BlockSystem:
     ``saddle`` in their own format, which their ``block_sink`` builds from
     the placements of :func:`assemble_blocks` (a sparse CSC matrix at full
     order, a :class:`~cromflow.blocklu.CellBlockMatrix` in the reduced
-    system), and supply the advection term, the Newton matrix and its
-    factorization.
+    system), and supply the start state, the advection term, the Newton
+    matrix and its factorization.  ``local`` maps component names to the
+    blocks the system was placed from.
     """
 
     grid: GridConfig
+    local: Mapping                      # component name -> its operators
     interfaces: list                    # (m, n, orientation) per grid interface
     off_u: np.ndarray
     off_p: np.ndarray
@@ -116,7 +119,11 @@ class BlockSystem:
     pressure_constraint: bool
     saddle: object                      # the linear operator; ``saddle @ x``
     rhs: np.ndarray                     # loads over the stacked state
-    assembly_time: float = 0.0
+    assembly_time: float                # seconds in :func:`assemble_blocks`
+
+    def local_of(self, m: int):
+        """The operators of subdomain m's component."""
+        return self.local[self.grid.component_name(m)]
 
     def slice_u(self, m: int) -> slice:
         return slice(self.off_u[m], self.off_u[m + 1])
@@ -206,8 +213,10 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
     ``forcing_load``, which only the full-order operators have.
     ``interface_blocks`` maps (ref_m, ref_n, orientation) to blocks keyed
     "mm".."nn"; a missing needed configuration is an error.  Returns
-    ``cls`` built from the sink's saddle matrix plus ``fields``.
+    ``cls`` built from ``local``, the sink's saddle matrix, the seconds this
+    took and ``fields``.
     """
+    t0 = time.perf_counter()
     grid.validate_components(local)
     M = grid.n_subdomains
     parts = [local[grid.component_name(m)] for m in range(M)]
@@ -261,6 +270,7 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
 
     return cls(
         grid=grid,
+        local=local,
         interfaces=interfaces,
         off_u=off_u,
         off_p=off_p,
@@ -269,6 +279,7 @@ def assemble_blocks(cls, grid: GridConfig, local: Mapping, interface_blocks: Map
         pressure_constraint=pressure_constraint,
         saddle=sink.saddle(),
         rhs=rhs,
+        assembly_time=time.perf_counter() - t0,
         **fields,
     )
 
@@ -303,34 +314,40 @@ def _gmres_step(jac, lu, r: np.ndarray, atol: float):
     return (lu.solve(y) if info == 0 else None), iterations
 
 
-def newton(system: BlockSystem, x, tol_rel, tol_abs, max_iter, t_start, t_fact):
-    """Newton-Raphson on a block system from the stacked state ``x``.
+def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
+    """Newton-Raphson on a block system from its start state.
 
-    Each step asks the system for its Newton matrix
+    The start (``system.start()``, timed as factorization) is the Stokes
+    solve at full order and the zero state in the reduced system.  Each
+    step asks the system for its Newton matrix
     (``newton_matrix(advection_jacobian(u))``).  The latest factorization
     (``factorize``) is kept: once the previous step cut the residual norm
     below ``_REUSE_BELOW`` of the one before, a step solves its matrix by
     one GMRES cycle right-preconditioned by that LU, to ``_GMRES_TOL`` of
     the Newton target.  Otherwise, or where GMRES falls short, the step
-    drops the old LU and factors its own matrix.  ``t_start`` and ``t_fact``
-    are the solve's start time and the factorization seconds it has spent
-    before the loop.  A singular factorization (``RuntimeError``), a
-    non-finite residual or ``max_iter`` steps without reaching the tolerance
-    end the loop with a non-converged report whose ``message`` says which.
-    Returns (u, p, report).
+    drops the old LU and factors its own matrix.  A failed start or a
+    singular factorization (``RuntimeError``), a non-finite residual or
+    ``max_iter`` steps without reaching the tolerance end the solve with a
+    non-converged report whose ``message`` says which; nothing is raised.
+    A failed start leaves the zero state.  Returns (u, p, report).
     """
+    t_start = time.perf_counter()
     times = dict.fromkeys(("jacobian", "saddle", "factorization", "solve", "residual"), 0.0)
-    times["factorization"] = t_fact
+    message = ""
+    try:
+        with _timed(times, "factorization"):
+            x = system.start()
+    except RuntimeError as exc:
+        x, message = np.zeros(system.n_dof), f"failed start: {exc}"
     with _timed(times, "residual"):
         r = system.residual(x)
     history = [float(np.linalg.norm(r))]
     step_norms, fill_nnz, reused_lu, gmres_iterations = [], [], [], []
     target = max(tol_rel * history[0], tol_abs)
-    converged = history[0] <= target
-    message = ""
+    converged = not message and history[0] <= target
     lu = None  # the latest factorization; at most one is alive
     it = 0
-    while not converged and it < max_iter:
+    while not (converged or message) and it < max_iter:
         if lu is not None and history[-1] >= _REUSE_BELOW * history[-2]:
             lu = None  # this step factors: the old LU goes before its matrix is built
         u, _ = system._split(x)
@@ -409,7 +426,7 @@ class _PermutedLU:
 
 @dataclass(kw_only=True)
 class GlobalFomSystem(BlockSystem):
-    """Full-order block system; ``saddle`` is one CSC matrix.
+    """Full-order block system of component operators; ``saddle`` is one CSC matrix.
 
     Every Newton matrix of the system lies on one fixed pattern, the saddle
     pattern joined with that of the advection Jacobian: a Newton step only
@@ -420,19 +437,15 @@ class GlobalFomSystem(BlockSystem):
 
     block_sink: ClassVar = _TripletSink
 
-    operators: Mapping                  # component name -> ComponentOperators
     # (order, gather map, indices, indptr) of the symmetrically permuted
     # Newton pattern, set by the first factorization (the Stokes start)
     _ordering: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    def ops_of(self, m: int) -> ComponentOperators:
-        return self.operators[self.grid.component_name(m)]
 
     @cached_property
     def _value_map(self) -> np.ndarray:
         """Velocity row of every element vector entry :meth:`advection_value` scatters."""
         rows = [
-            self.off_u[ms][:, None, None, None] + self.operators[name].adv.element_dofs
+            self.off_u[ms][:, None, None, None] + self.local[name].adv.element_dofs
             for name, ms, _ in self.type_groups
         ]
         return np.concatenate([r.ravel() for r in rows])
@@ -449,7 +462,7 @@ class GlobalFomSystem(BlockSystem):
         Jacobian's 2 tells which places of the sum are whose.
         """
         n, saddle = self.n_dof, self.saddle
-        patterns = [self.ops_of(m).adv.jacobian_pattern for m in range(self.grid.n_subdomains)]
+        patterns = [self.local_of(m).adv.jacobian_pattern for m in range(self.grid.n_subdomains)]
         # where each subdomain's block starts in the Jacobian's data
         starts = np.cumsum([0] + [ptr[-1] for ptr, _, _ in patterns])
         indptr = np.concatenate(
@@ -465,14 +478,14 @@ class GlobalFomSystem(BlockSystem):
         base[pattern.data != 2.0] = saddle.data
         jac_places = np.flatnonzero(pattern.data >= 2.0)
         scatter = [
-            jac_places[starts[ms][:, None] + self.operators[name].adv.jacobian_pattern[2]].ravel()
+            jac_places[starts[ms][:, None] + self.local[name].adv.jacobian_pattern[2]].ravel()
             for name, ms, _ in self.type_groups
         ]
         return pattern.indptr, pattern.indices, base, np.concatenate(scatter)
 
     def advection_value(self, u: np.ndarray) -> np.ndarray:
         values = [
-            self.operators[name].adv.element_values(u[rows]).ravel()
+            self.local[name].adv.element_values(u[rows]).ravel()
             for name, _, rows in self.type_groups
         ]
         return np.bincount(self._value_map, weights=np.concatenate(values), minlength=self.n_u)
@@ -482,7 +495,7 @@ class GlobalFomSystem(BlockSystem):
         stored entry; it is zero outside the velocity block."""
         _, _, base, scatter = self._newton_pattern
         values = [
-            self.operators[name].adv.element_jacobians(u[rows]).ravel()
+            self.local[name].adv.element_jacobians(u[rows]).ravel()
             for name, _, rows in self.type_groups
         ]
         return np.bincount(scatter, weights=np.concatenate(values), minlength=base.size)
@@ -505,6 +518,16 @@ class GlobalFomSystem(BlockSystem):
         order, gather, indices, indptr = self._ordering
         permuted = sp.csc_matrix((mat.data[gather], indices, indptr), shape=mat.shape)
         return _PermutedLU(saddle_lu(permuted, permc_spec="NATURAL"), order)
+
+    def start(self) -> np.ndarray:
+        """The Stokes solve: the Newton matrix at u = 0, factored first, so
+        under COLAMD.  Raises ``RuntimeError`` when singular or inaccurate."""
+        rhs = self.rhs
+        x = self.factorize(self.newton_matrix(0.0)).solve(rhs)
+        res = np.linalg.norm(self.saddle @ x - rhs)
+        if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
+            raise RuntimeError(f"Stokes solve inaccurate: residual {res:.3e}")
+        return x
 
 
 def _permuted_pattern(mat: sp.csc_matrix, order: np.ndarray):
@@ -534,48 +557,19 @@ def assemble_global(
     and so is fully Dirichlet data with a net boundary flux.  The P1
     pressure basis sums to one, so the pressure load sums to that flux.
     """
-    t0 = time.perf_counter()
-    system = assemble_blocks(
-        GlobalFomSystem, grid, operators, interface_blocks, operators=operators
-    )
+    system = assemble_blocks(GlobalFomSystem, grid, operators, interface_blocks)
     if system.pressure_constraint:
         load_p = system._split(system.rhs)[1]
         flux = float(load_p.sum())
         if abs(flux) > 1e-9 * max(float(np.abs(load_p).sum()), 1.0):
             raise ValueError(f"incompatible Dirichlet data: net boundary flux {flux:.3e} != 0")
-    system.assembly_time = time.perf_counter() - t0
     return system
 
 
-def _solve_stokes_full(system: GlobalFomSystem) -> np.ndarray:
-    rhs = system.rhs
-    x = system.factorize(system.newton_matrix(0.0)).solve(rhs)
-    res = np.linalg.norm(system.saddle @ x - rhs)
-    if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
-        raise RuntimeError(f"Stokes solve inaccurate: residual {res:.3e}")
-    return x
-
-
 def solve_stokes(system: GlobalFomSystem):
-    """Linear saddle-point solve with the advection term dropped."""
-    return system._split(_solve_stokes_full(system))
-
-
-def solve_newton(
-    system: GlobalFomSystem,
-    tol_rel: float = 1e-8,
-    tol_abs: float = 1e-10,
-    max_iter: int = 50,
-):
-    """Newton-Raphson on the steady system, starting from a Stokes solve.
-
-    Returns (u, p, report); non-convergence, a singular Newton factorization
-    included, is reported, not raised.  An inaccurate Stokes start raises.
-    """
-    t_start = time.perf_counter()
-    x = _solve_stokes_full(system)
-    t_fact = time.perf_counter() - t_start
-    return newton(system, x, tol_rel, tol_abs, max_iter, t_start, t_fact)
+    """Linear saddle-point solve with the advection term dropped (the
+    Newton start); an inaccurate solve raises ``RuntimeError``."""
+    return system._split(system.start())
 
 
 def mms_convergence(

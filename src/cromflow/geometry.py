@@ -119,7 +119,7 @@ class ComponentMesh:
     def side_breakpoints(self, side: str) -> np.ndarray:
         """Sorted 1D partition points of one side, including 0 and 1."""
         axis = _SIDE_AXIS[side]
-        trace = self._trace(side) if not hasattr(self, "side_trace") else self.side_trace[side]
+        trace = self.side_trace[side]
         if not trace:
             raise MeshError(f"side {side} has no boundary edges")
         pts = [np.sort(self.vertices[self.boundary_edges[b], axis]) for b in trace]

@@ -142,13 +142,19 @@ class ExperimentConfig:
     newton_tol: float = 1e-8
     newton_max_iter: int = 50
 
+    def __post_init__(self):
+        for key, least in (("basis_size", 1), ("pressure_basis_size", 1), ("supremizer_size", 0)):
+            value = getattr(self, key)
+            if value is not None and value < least:
+                raise ValueError(f"config key {key} must be at least {least}, not {value}")
+
     @property
     def viscosity(self) -> float:
         return 1.0 / self.reynolds
 
     @property
     def r_p(self) -> int:
-        return self.pressure_basis_size or self.basis_size
+        return self.basis_size if self.pressure_basis_size is None else self.pressure_basis_size
 
     @property
     def z(self) -> int:
@@ -177,7 +183,6 @@ class ExperimentConfig:
 class ComponentSet:
     """Spaces (on their meshes) and assembled operators of the component pool."""
 
-    cfg: ExperimentConfig
     spaces: dict
     operators: dict
     interface_blocks: dict
@@ -198,7 +203,7 @@ def build_component_set(cfg: ExperimentConfig) -> ComponentSet:
         for b in spaces
         for o in ("H", "V")
     }
-    return ComponentSet(cfg, spaces, operators, blocks)
+    return ComponentSet(spaces, operators, blocks)
 
 
 def random_cells(rng: np.random.Generator, rows: int, cols: int, pool) -> list:
@@ -207,11 +212,19 @@ def random_cells(rng: np.random.Generator, rows: int, cols: int, pool) -> list:
     return [[pool[picks[r, c]] for c in range(cols)] for r in range(rows)]
 
 
+def random_grid(rng: np.random.Generator, rows: int, cols: int, cfg: ExperimentConfig):
+    """A random rows x cols array of the config's components under a random
+    inflow, drawn in that order: (grid, inflow sample)."""
+    cells = random_cells(rng, rows, cols, cfg.components)
+    sample = sample_inflow(rng)
+    return GridConfig(rows, cols, cells, cfg.viscosity, bc_from_sample(sample)), sample
+
+
 def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
     """Solve random small arrays and restrict solutions per reference component.
 
-    Non-convergent samples are skipped and logged.  Returns (snapshot sets
-    by component, number of skipped samples).
+    Non-convergent samples, a failed Stokes start included, are skipped and
+    logged.  Returns (snapshot sets by component, number of skipped samples).
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -219,24 +232,11 @@ def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
     columns = {name: ([], []) for name in cfg.components}
     skipped = 0
     for i in range(cfg.train_samples):
-        cells = random_cells(rng, rows, cols, cfg.components)
-        sample = sample_inflow(rng)
-        grid = GridConfig(rows, cols, cells, cfg.viscosity, bc_from_sample(sample))
+        grid, _ = random_grid(rng, rows, cols, cfg)
         system = assemble_global(grid, parts.operators, parts.interface_blocks)
-        try:
-            u, p, report = solve_newton(
-                system, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter
-            )
-        except RuntimeError as exc:
-            log.warning("training sample %d failed: %s", i, exc)
-            skipped += 1
-            continue
+        u, p, report = solve_newton(system, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter)
         if not report.converged:
-            log.warning(
-                "training sample %d did not converge (residual %.3e), skipped",
-                i,
-                report.residual_history[-1],
-            )
+            log.warning("training sample %d skipped: %s", i, report.message)
             skipped += 1
             continue
         for m in range(grid.n_subdomains):
@@ -371,14 +371,8 @@ def _write_csv(path, rows) -> None:
 
 
 def _test_cases(cfg: ExperimentConfig, rng: np.random.Generator, L: int) -> list:
-    """``tests_per_size`` random L x L arrays: (cells, inflow sample, grid) each."""
-    cases = []
-    for _ in range(cfg.tests_per_size):
-        cells = random_cells(rng, L, L, cfg.components)
-        sample = sample_inflow(rng)
-        grid = GridConfig(L, L, cells, cfg.viscosity, bc_from_sample(sample))
-        cases.append((cells, sample, grid))
-    return cases
+    """``tests_per_size`` random L x L arrays: (grid, inflow sample) each."""
+    return [random_grid(rng, L, L, cfg) for _ in range(cfg.tests_per_size)]
 
 
 def run_scaling_study(model: TrainedModel, out_dir) -> Path:
@@ -390,11 +384,11 @@ def run_scaling_study(model: TrainedModel, out_dir) -> Path:
     rng = np.random.default_rng(cfg.seed + 1)
     rows = []
     for L in cfg.predict_sizes:
-        for case, (cells, sample, grid) in enumerate(_test_cases(cfg, rng, L)):
+        for case, (grid, sample) in enumerate(_test_cases(cfg, rng, L)):
             row = {
                 "L": L,
                 "case": case,
-                "cells": ";".join(c for r in cells for c in r),
+                "cells": ";".join(c for r in grid.cell_component for c in r),
                 **sample.as_row(),
             }
             row.update(_solve_case(model, grid, (TENSORIAL, EQP)))
@@ -427,7 +421,7 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
     for z in z_values:
         sub_cfg = replace(cfg, supremizer_size=z)
         sub = train_model(sub_cfg, model.parts, model.snapshots, with_eqp=False)
-        for case, (_, sample, grid) in enumerate(cases):
+        for case, (grid, sample) in enumerate(cases):
             row = {"Z": z, "case": case, **sample.as_row()}
             row.update(_solve_case(sub, grid, (TENSORIAL,)))
             row["B_sigma_min_l2"] = assemble_global_rom(
@@ -461,7 +455,7 @@ def run_backend_comparison(model: TrainedModel, out_dir, r_values, grid_size=4) 
     for r in r_values:
         sub_cfg = replace(cfg, basis_size=r, pressure_basis_size=r, supremizer_size=r)
         sub = train_model(sub_cfg, model.parts, model.snapshots)
-        for case, (_, sample, grid) in enumerate(cases):
+        for case, (grid, sample) in enumerate(cases):
             row = {"R": r, "case": case, **sample.as_row()}
             row["eqp_points"] = ";".join(
                 str(sub.reduced[name].eqp_rule.n_points) for name in cfg.components

@@ -1,6 +1,6 @@
 """Global reduced system: the stored reduced model, assembly from
-per-component reduced blocks, Newton solve, lifting back to full order, and
-error evaluation.
+per-component reduced blocks, lifting back to full order, and error
+evaluation.
 
 The reduced system is the full-order block system of :mod:`cromflow.fom`
 with every component and interface block replaced by its dense projection;
@@ -8,7 +8,9 @@ the Dirichlet loads come from the projected load builders of the sides, so
 any inflow data can be applied without reassembling full-order operators.  The
 projections are summed into one dense saddle block per cell and per
 neighbouring cell pair, and each Newton matrix is factored block by block
-in nested-dissection order (:mod:`cromflow.blocklu`).
+in nested-dissection order (:mod:`cromflow.blocklu`).  The system is solved
+by the one Newton function of :mod:`cromflow.fom`, here named
+:func:`solve_rom_newton`, from the zero reduced state.
 
 The pressure block holds the per-component pressure-gradient penalty
 ``-C`` (zero for a basis that spans its training snapshots).  Without it,
@@ -27,7 +29,6 @@ full-order operator.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Mapping, Optional
@@ -37,7 +38,8 @@ import numpy as np
 from . import _binio, eqp, reduction
 from .blocklu import BlockLU, CellBlockMatrix, nested_dissection
 from .eqp import eqp_advection_jacobian, eqp_advection_value
-from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks, newton
+from .fom import BlockSystem, GlobalFomSystem, _offsets, assemble_blocks
+from .fom import solve_newton as solve_rom_newton  # the one Newton entry, under its reduced name
 from .fom import saddle_lu  # noqa: F401  not called: perfbench/tracing.py wraps rom.saddle_lu
 from .geometry import SIDES, GridConfig
 from .reduction import (
@@ -114,20 +116,22 @@ class _CellBlockSink:
 
 @dataclass(kw_only=True)
 class GlobalRomSystem(BlockSystem):
+    """Reduced block system of :class:`ReducedComponentOperators`."""
+
     block_sink: ClassVar = _CellBlockSink
 
-    reduced: Mapping                     # component name -> ReducedComponentOperators
     backend: str
     fom_off_u: np.ndarray
     fom_off_p: np.ndarray
 
-    def red_of(self, m: int) -> ReducedComponentOperators:
-        return self.reduced[self.grid.component_name(m)]
+    def start(self) -> np.ndarray:
+        """The zero reduced state."""
+        return np.zeros(self.n_dof)
 
     def advection_value(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
         for name, _, rows in self.type_groups:
-            red = self.reduced[name]
+            red = self.local[name]
             if self.backend == TENSORIAL:
                 out[rows] = tensor_contract(red.tensor, u_hat[rows].T).T
             else:
@@ -138,7 +142,7 @@ class GlobalRomSystem(BlockSystem):
         """The dense advection Jacobian block of each cell."""
         blocks = [None] * self.grid.n_subdomains
         for name, ms, rows in self.type_groups:
-            red = self.reduced[name]
+            red = self.local[name]
             if self.backend == TENSORIAL:
                 jac = tensor_jacobian(red.tensor, u_hat[rows].T)
             else:
@@ -198,7 +202,6 @@ def assemble_global_rom(
         raise ValueError(
             "the reduced model has no body-force load; solve a forced grid at full order"
         )
-    t0 = time.perf_counter()
     grid.validate_components(reduced)
     names = [grid.component_name(m) for m in range(grid.n_subdomains)]
     for name in set(names):
@@ -219,34 +222,15 @@ def assemble_global_rom(
                     f"component {name!r}: quadrature rule attached to a basis of"
                     f" {red.eqp_rule.n_basis} velocity modes, not its {red.r_u}"
                 )
-    system = assemble_blocks(
+    return assemble_blocks(
         GlobalRomSystem,
         grid,
         reduced,
         reduced_interfaces,
-        reduced=reduced,
         backend=backend,
         fom_off_u=_offsets([reduced[name].basis.n_u for name in names]),
         fom_off_p=_offsets([reduced[name].basis.n_p for name in names]),
     )
-    system.assembly_time = time.perf_counter() - t0
-    return system
-
-
-def solve_rom_newton(
-    system: GlobalRomSystem,
-    tol_rel: float = 1e-8,
-    tol_abs: float = 1e-10,
-    max_iter: int = 50,
-):
-    """Newton on the reduced system from the zero reduced state.
-
-    Returns (u_hat, p_hat, report); non-convergence, a singular
-    factorization included, is reported, not raised.
-    """
-    t_start = time.perf_counter()
-    x = np.zeros(system.n_dof)
-    return newton(system, x, tol_rel, tol_abs, max_iter, t_start, 0.0)
 
 
 def lift(system: GlobalRomSystem, u_hat: np.ndarray, p_hat: np.ndarray) -> LiftedSolution:
@@ -254,7 +238,7 @@ def lift(system: GlobalRomSystem, u_hat: np.ndarray, p_hat: np.ndarray) -> Lifte
     u = np.zeros(system.fom_off_u[-1])
     p = np.zeros(system.fom_off_p[-1])
     for m in range(system.grid.n_subdomains):
-        red = system.red_of(m)
+        red = system.local_of(m)
         u[system.fom_off_u[m] : system.fom_off_u[m + 1]] = red.basis.phi_u @ u_hat[
             system.slice_u(m)
         ]
@@ -269,7 +253,7 @@ def project_state(system: GlobalRomSystem, u: np.ndarray, p: np.ndarray):
     u_hat = np.zeros(system.n_u)
     p_hat = np.zeros(system.n_p)
     for m in range(system.grid.n_subdomains):
-        red = system.red_of(m)
+        red = system.local_of(m)
         u_hat[system.slice_u(m)] = red.basis.phi_u.T @ u[
             system.fom_off_u[m] : system.fom_off_u[m + 1]
         ]
@@ -288,7 +272,7 @@ def relative_errors(
     """Global relative L2 field errors of a lifted solution against a FOM one."""
     eu2 = nu2 = ep2 = np2 = 0.0
     for m in range(fom_system.grid.n_subdomains):
-        space = fom_system.ops_of(m).space
+        space = fom_system.local_of(m).space
         du = u_fom[fom_system.slice_u(m)] - lifted.u[lifted.off_u[m] : lifted.off_u[m + 1]]
         dp = p_fom[fom_system.slice_p(m)] - lifted.p[lifted.off_p[m] : lifted.off_p[m + 1]]
         eu2 += space.velocity_l2(du) ** 2

@@ -23,11 +23,15 @@ from cromflow.geometry import (
     generate_obstacle_mesh,
 )
 from cromflow.harness import ExperimentConfig, build_component_set
+from cromflow.reduction import build_advection_tensor, project_linear
+from cromflow.rom import assemble_global_rom, solve_rom_newton
 from cromflow.weakforms import (
     InterfaceBlocks,
     assemble_interface_blocks,
     build_component_operators,
 )
+
+from test_rom import random_basis
 
 NU = 0.04
 
@@ -318,6 +322,19 @@ class TestNewton:
         u, p, report = solve_newton(system, tol_rel=1e-14, tol_abs=1e-16, max_iter=0)
         assert not report.converged
         assert report.newton_iterations == 0
+        # the state returned is the start: the Stokes solve at full order ...
+        u_stokes, p_stokes = solve_stokes(assemble_global(grid, ops, blocks))
+        assert np.array_equal(u, u_stokes) and np.array_equal(p, p_stokes)
+        # ... and zero in the reduced system
+        basis = random_basis(space, 6, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        rom_sys = assemble_global_rom(grid, reduced, riface)
+        uh, ph, report = solve_rom_newton(rom_sys, tol_rel=1e-14, tol_abs=1e-16, max_iter=0)
+        assert not report.converged
+        assert report.newton_iterations == 0
+        assert uh.shape == (rom_sys.n_u,) and not np.any(uh)
+        assert ph.shape == (rom_sys.n_p,) and not np.any(ph)
 
     def test_max_iter_reached_is_explained(self, empty_parts):
         space, ops, blocks = empty_parts
@@ -368,6 +385,29 @@ class TestNewton:
         # disjoint intervals of one clock; the slack covers the rounding of the sum
         assert sum(report.wall_times[k] for k in phases) <= report.wall_times["total"] + 1e-9
 
+    def test_failed_stokes_start_is_reported(self, empty_parts, monkeypatch):
+        space, ops, blocks = empty_parts
+        system = assemble_global(channel_grid(1, 1), ops, blocks)
+        calls = []
+
+        def singular(mat, **options):
+            calls.append(mat.shape)
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fom, "saddle_lu", singular)
+        u, p, report = solve_newton(system)
+        assert len(calls) == 1
+        assert not report.converged
+        assert report.newton_iterations == 0
+        assert report.message == "failed start: Factor is exactly singular"
+        assert len(report.residual_history) == 1
+        assert report.fill_nnz == [] and report.step_norms == []
+        assert u.shape == (system.n_u,) and not np.any(u)
+        assert p.shape == (system.n_p,) and not np.any(p)
+        phases = ("jacobian", "saddle", "factorization", "solve", "residual")
+        assert set(report.wall_times) == {"assembly", "total", *phases}
+        assert sum(report.wall_times[k] for k in phases) <= report.wall_times["total"] + 1e-9
+
     def test_interpolated_channel_residual_tiny(self, empty_parts):
         space, ops, blocks = empty_parts
         system = assemble_global(channel_grid(2, 2), ops, blocks)
@@ -411,7 +451,7 @@ def element_jacobian_oracle(system, u) -> sp.csc_matrix:
     from its element Jacobians through COO."""
     blocks = []
     for m in range(system.grid.n_subdomains):
-        adv = system.ops_of(m).adv
+        adv = system.local_of(m).adv
         jac = adv.element_jacobians(u[system.slice_u(m)][None])[0]
         dofs = adv.element_dofs
         rows = np.broadcast_to(dofs[:, :, None, :, None], jac.shape).ravel()
@@ -451,7 +491,7 @@ class TestNewtonPattern:
         u = np.random.default_rng(12).standard_normal(system.n_u)
         ref = np.concatenate(
             [
-                system.ops_of(m).adv.value(u[system.slice_u(m)])
+                system.local_of(m).adv.value(u[system.slice_u(m)])
                 for m in range(system.grid.n_subdomains)
             ]
         )

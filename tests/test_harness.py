@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cromflow import fom
 from cromflow.geometry import SIDES
 from cromflow.harness import (
     TRAIN_SHAPE,
@@ -16,6 +17,8 @@ from cromflow.harness import (
     build_component_meshes,
     build_component_set,
     generate_snapshots,
+    random_cells,
+    random_grid,
     run_backend_comparison,
     run_scaling_study,
     run_supremizer_ablation,
@@ -97,6 +100,15 @@ class TestBcFromSample:
             assert "dirichlet" in kinds
             assert "neumann" in kinds
 
+    def test_random_grid_draws_cells_then_inflow(self):
+        cfg = ExperimentConfig(**TINY)
+        grid, sample = random_grid(np.random.default_rng(5), 3, 2, cfg)
+        rng = np.random.default_rng(5)
+        cells = random_cells(rng, 3, 2, cfg.components)
+        assert grid.cell_component == cells
+        assert sample.as_row() == sample_inflow(rng).as_row()
+        assert (grid.rows, grid.cols, grid.viscosity) == (3, 2, cfg.viscosity)
+
     def test_zero_inflow_rejected(self):
         rng = np.random.default_rng(6)
         s = sample_inflow(rng)
@@ -124,6 +136,23 @@ class TestSnapshots:
         for name in cfg.components:
             assert sets[name].U.shape == (parts.spaces[name].n_u, 0)
             assert sets[name].P.shape == (parts.spaces[name].n_p, 0)
+
+    def test_failed_start_counts_as_skipped(self, monkeypatch):
+        cfg = ExperimentConfig(**{**TINY, "train_samples": 2})
+        parts = build_component_set(cfg)
+        calls = []
+        factorize = fom.saddle_lu
+
+        def singular_first(mat, **options):
+            calls.append(mat.shape)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return factorize(mat, **options)
+
+        monkeypatch.setattr(fom, "saddle_lu", singular_first)
+        sets, skipped = generate_snapshots(cfg, parts)
+        assert skipped == 1
+        assert sum(s.count for s in sets.values()) == 4
 
     def test_duplicate_seed_bit_identical(self):
         cfg = ExperimentConfig(**{**TINY, "train_samples": 6})
@@ -164,6 +193,23 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: 3}))
         with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{key}']")):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "key, value, least",
+        [
+            ("basis_size", 0, 1),
+            ("basis_size", -2, 1),
+            ("pressure_basis_size", 0, 1),
+            ("supremizer_size", -1, 0),
+        ],
+    )
+    def test_out_of_range_size_rejected(self, tmp_path, key, value, least):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(
+            ValueError, match=re.escape(f"config key {key} must be at least {least}, not {value}")
+        ):
             ExperimentConfig.from_json(path)
 
     def test_readme_config_table_lists_every_key(self):

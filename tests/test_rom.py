@@ -263,7 +263,7 @@ class TestStackedAdvection:
         ref_value = np.zeros(system.n_u)
         ref_blocks = []
         for m in range(grid.n_subdomains):
-            red, sl = system.red_of(m), system.slice_u(m)
+            red, sl = system.local_of(m), system.slice_u(m)
             ref_value[sl] = value_of(red, uh[sl])
             ref_blocks.append(jacobian_of(red, uh[sl]))
         got_blocks = system.advection_jacobian(uh)
