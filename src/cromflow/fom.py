@@ -9,8 +9,10 @@ operators, summed into one sparse matrix; in the reduced system they are
 their dense projections, summed into dense cell blocks.  The steady
 nonlinear problem is solved by one Newton-Raphson function on one
 residual, :func:`solve_newton`, the only solve entry of both systems; each
-system supplies its start state, its Newton matrix (the saddle operator
-plus the advection Jacobian) and a direct factorization of it.  Once Newton
+system supplies its start state with the elimination order of the solve,
+its Newton matrix (the saddle operator plus the advection Jacobian) and a
+direct factorization of that matrix in that order.  A system is not changed
+by a solve, so two solves on one system give the same numbers.  Once Newton
 contracts fast, a step solves its matrix by GMRES, right-preconditioned by
 the latest factorization, instead of factoring it (inexact Newton,
 Eisenstat & Walker, SISC 17, 1996, with a frozen preconditioner, Knoll &
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Mapping, Optional
 
@@ -104,9 +106,11 @@ class BlockSystem:
     ``saddle`` in their own format, which their ``block_sink`` builds from
     the placements of :func:`assemble_blocks` (a sparse CSC matrix at full
     order, a :class:`~cromflow.blocklu.CellBlockMatrix` in the reduced
-    system), and supply the start state, the advection term, the Newton
-    matrix and its factorization.  ``local`` maps component names to the
-    blocks the system was placed from.
+    system), and supply the advection term, the Newton matrix, ``start()``,
+    which returns the start state and the elimination order of a solve, and
+    ``factorize(mat, order)``, the factorization of a Newton matrix in that
+    order.  Neither changes the system.  ``local`` maps component names to
+    the blocks the system was placed from.
     """
 
     grid: GridConfig
@@ -318,27 +322,28 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
     """Newton-Raphson on a block system from its start state.
 
     The start (``system.start()``, timed as factorization) is the Stokes
-    solve at full order and the zero state in the reduced system.  Each
+    solve at full order and the zero state in the reduced system; it also
+    gives the elimination order, which the solve holds to its end.  Each
     step asks the system for its Newton matrix
     (``newton_matrix(advection_jacobian(u))``).  The latest factorization
-    (``factorize``) is kept: once the previous step cut the residual norm
-    below ``_REUSE_BELOW`` of the one before, a step solves its matrix by
-    one GMRES cycle right-preconditioned by that LU, to ``_GMRES_TOL`` of
-    the Newton target.  Otherwise, or where GMRES falls short, the step
-    drops the old LU and factors its own matrix.  A failed start or a
-    singular factorization (``RuntimeError``), a non-finite residual or
-    ``max_iter`` steps without reaching the tolerance end the solve with a
-    non-converged report whose ``message`` says which; nothing is raised.
-    A failed start leaves the zero state.  Returns (u, p, report).
+    (``factorize(mat, order)``) is kept: once the previous step cut the
+    residual norm below ``_REUSE_BELOW`` of the one before, a step solves
+    its matrix by one GMRES cycle right-preconditioned by that LU, to
+    ``_GMRES_TOL`` of the Newton target.  Otherwise, or where GMRES falls
+    short, the step drops the old LU and factors its own matrix.  A failed
+    start or a singular factorization (``RuntimeError``), a non-finite
+    residual or ``max_iter`` steps without reaching the tolerance end the
+    solve with a non-converged report whose ``message`` says which; nothing
+    is raised.  A failed start leaves the zero state.  Returns (u, p, report).
     """
     t_start = time.perf_counter()
     times = dict.fromkeys(("jacobian", "saddle", "factorization", "solve", "residual"), 0.0)
     message = ""
     try:
         with _timed(times, "factorization"):
-            x = system.start()
+            x, order = system.start()
     except RuntimeError as exc:
-        x, message = np.zeros(system.n_dof), f"failed start: {exc}"
+        x, order, message = np.zeros(system.n_dof), None, f"failed start: {exc}"
     with _timed(times, "residual"):
         r = system.residual(x)
     history = [float(np.linalg.norm(r))]
@@ -364,7 +369,7 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
             lu = None  # freed before the refactorization
             try:
                 with _timed(times, "factorization"):
-                    lu = system.factorize(jac)
+                    lu = system.factorize(jac, order)
             except RuntimeError as exc:
                 message = f"singular Newton factorization: {exc}"
                 break
@@ -430,16 +435,12 @@ class GlobalFomSystem(BlockSystem):
 
     Every Newton matrix of the system lies on one fixed pattern, the saddle
     pattern joined with that of the advection Jacobian: a Newton step only
-    updates values on it.  The Stokes start is the Newton matrix at u = 0;
-    its factorization orders the unknowns, and every Newton factorization
-    factors the matrix permuted by that ordering.
+    updates values on it.  The Stokes start factors the Newton matrix at
+    u = 0 under COLAMD, and its ordering is the order of the solve: every
+    Newton factorization factors the matrix permuted by it.
     """
 
     block_sink: ClassVar = _TripletSink
-
-    # (order, gather map, indices, indptr) of the symmetrically permuted
-    # Newton pattern, set by the first factorization (the Stokes start)
-    _ordering: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @cached_property
     def _value_map(self) -> np.ndarray:
@@ -504,30 +505,25 @@ class GlobalFomSystem(BlockSystem):
         indptr, indices, base, _ = self._newton_pattern
         return sp.csc_matrix((base + adv, indices, indptr), shape=self.saddle.shape)
 
-    def factorize(self, mat: sp.csc_matrix):
-        """Sparse LU of a Newton matrix of the system.
-
-        The first call orders the unknowns (COLAMD) and keeps the ordering;
-        every later call permutes ``mat``, which must lie on the Newton
-        pattern, symmetrically by it and factors in natural order.
-        """
-        if self._ordering is None:
-            lu = saddle_lu(mat)
-            self._ordering = _permuted_pattern(mat, np.argsort(lu.perm_c))
-            return lu
-        order, gather, indices, indptr = self._ordering
+    def factorize(self, mat: sp.csc_matrix, order: tuple) -> _PermutedLU:
+        """Sparse LU of ``mat``, a matrix on the Newton pattern, permuted
+        symmetrically by ``order`` (from :meth:`start`), in natural order."""
+        perm, gather, indices, indptr = order
         permuted = sp.csc_matrix((mat.data[gather], indices, indptr), shape=mat.shape)
-        return _PermutedLU(saddle_lu(permuted, permc_spec="NATURAL"), order)
+        return _PermutedLU(saddle_lu(permuted, permc_spec="NATURAL"), perm)
 
-    def start(self) -> np.ndarray:
-        """The Stokes solve: the Newton matrix at u = 0, factored first, so
-        under COLAMD.  Raises ``RuntimeError`` when singular or inaccurate."""
-        rhs = self.rhs
-        x = self.factorize(self.newton_matrix(0.0)).solve(rhs)
+    def start(self) -> tuple:
+        """The Stokes solve, which factors the Newton matrix at u = 0 under
+        COLAMD, and the order of the solve: that ordering with the Newton
+        pattern permuted by it (:func:`_permuted_pattern`).  Raises
+        ``RuntimeError`` when singular or inaccurate."""
+        rhs, mat = self.rhs, self.newton_matrix(0.0)
+        lu = saddle_lu(mat)
+        x = lu.solve(rhs)
         res = np.linalg.norm(self.saddle @ x - rhs)
         if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
             raise RuntimeError(f"Stokes solve inaccurate: residual {res:.3e}")
-        return x
+        return x, _permuted_pattern(mat, np.argsort(lu.perm_c))
 
 
 def _permuted_pattern(mat: sp.csc_matrix, order: np.ndarray):
@@ -569,7 +565,7 @@ def assemble_global(
 def solve_stokes(system: GlobalFomSystem):
     """Linear saddle-point solve with the advection term dropped (the
     Newton start); an inaccurate solve raises ``RuntimeError``."""
-    return system._split(system.start())
+    return system._split(system.start()[0])
 
 
 def mms_convergence(

@@ -147,6 +147,10 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and value < least:
                 raise ValueError(f"config key {key} must be at least {least}, not {value}")
+        if not 0.0 < self.reynolds < np.inf:
+            raise ValueError(
+                f"config key reynolds must be positive and finite, not {self.reynolds}"
+            )
 
     @property
     def viscosity(self) -> float:
@@ -274,20 +278,16 @@ class TrainedModel:
         return {name: red.basis for name, red in self.reduced.items()}
 
 
-def train_bases(cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict) -> dict:
-    return {
+def train_model(
+    cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict, with_eqp: bool = True
+) -> TrainedModel:
+    """POD + supremizers, projection, tensors and EQP on the given snapshots."""
+    bases = {
         name: build_pod_basis(
             snapshots[name], parts.operators[name], cfg.basis_size, cfg.r_p, cfg.z
         )
         for name in cfg.components
     }
-
-
-def train_model(
-    cfg: ExperimentConfig, parts: ComponentSet, snapshots: dict, with_eqp: bool = True
-) -> TrainedModel:
-    """POD + supremizers, projection, tensors and EQP on the given snapshots."""
-    bases = train_bases(cfg, parts, snapshots)
     reduced, riface = project_linear(parts.operators, parts.interface_blocks, bases)
     for name in cfg.components:
         red = reduced[name]

@@ -124,9 +124,14 @@ class GlobalRomSystem(BlockSystem):
     fom_off_u: np.ndarray
     fom_off_p: np.ndarray
 
-    def start(self) -> np.ndarray:
-        """The zero reduced state."""
-        return np.zeros(self.n_dof)
+    def start(self) -> tuple:
+        """The zero reduced state and the pivot groups of the solve: the
+        cells in nested-dissection order, then the multiplier, where
+        present, as the last group."""
+        groups = nested_dissection(self.grid.rows, self.grid.cols)
+        if self.pressure_constraint:
+            groups.append([self.grid.n_subdomains])
+        return np.zeros(self.n_dof), groups
 
     def advection_value(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_u)
@@ -160,12 +165,8 @@ class GlobalRomSystem(BlockSystem):
             blocks[m, m] = diag
         return CellBlockMatrix(self.saddle.nodes, blocks)
 
-    def factorize(self, mat: CellBlockMatrix) -> BlockLU:
-        """Block LU over the cells in nested-dissection order; the
-        multiplier, where present, is the last pivot group."""
-        groups = nested_dissection(self.grid.rows, self.grid.cols)
-        if self.pressure_constraint:
-            groups.append([self.grid.n_subdomains])
+    def factorize(self, mat: CellBlockMatrix, groups: list) -> BlockLU:
+        """Block LU by the pivot groups from :meth:`start`."""
         return BlockLU(mat, groups)
 
     def divergence_sigma_min(self) -> float:

@@ -31,7 +31,7 @@ from cromflow.weakforms import (
     build_component_operators,
 )
 
-from test_rom import random_basis
+from test_rom import assert_same_solve, random_basis
 
 NU = 0.04
 
@@ -323,7 +323,7 @@ class TestNewton:
         assert not report.converged
         assert report.newton_iterations == 0
         # the state returned is the start: the Stokes solve at full order ...
-        u_stokes, p_stokes = solve_stokes(assemble_global(grid, ops, blocks))
+        u_stokes, p_stokes = solve_stokes(system)
         assert np.array_equal(u, u_stokes) and np.array_equal(p, p_stokes)
         # ... and zero in the reduced system
         basis = random_basis(space, 6, 3)
@@ -516,7 +516,9 @@ class TestNewtonPattern:
         assert specs == ["COLAMD"] + ["NATURAL"] * len(report.fill_nnz)
 
         # the reference orders afresh at every Newton step
-        monkeypatch.setattr(fom.GlobalFomSystem, "factorize", lambda self, mat: factorize(mat))
+        monkeypatch.setattr(
+            fom.GlobalFomSystem, "factorize", lambda self, mat, order: factorize(mat)
+        )
         u_ref, p_ref, ref = solve_newton(assemble_global(grid, ops, blocks), tol_rel=1e-12)
         assert ref.converged and ref.newton_iterations == report.newton_iterations
         x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
@@ -529,10 +531,9 @@ class TestNewtonPattern:
         ops, blocks = mixed_parts
         system = assemble_global(mixed_3x3_grid(False), ops, blocks)
         rng = np.random.default_rng(13)
-        first = system.newton_matrix(system.advection_jacobian(rng.standard_normal(system.n_u)))
-        system.factorize(first)
+        _, order = system.start()
         mat = system.newton_matrix(system.advection_jacobian(rng.standard_normal(system.n_u)))
-        lu = system.factorize(mat)
+        lu = system.factorize(mat, order)
         b = rng.standard_normal(system.n_dof)
         x = lu.solve(b)
         assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -545,23 +546,24 @@ def failing_gmres(op, b, **options):
 
 
 def refuse_a_second_live_lu(monkeypatch):
-    """Make every full-order factorization fail while an earlier one is alive."""
-    factorize, alive = fom.GlobalFomSystem.factorize, []
+    """Make every full-order factorization, the Stokes start's included,
+    fail while an earlier one is alive."""
+    factorize, alive = fom.saddle_lu, []
 
     class Held:  # SuperLU objects take no weak references
         def __init__(self, lu):
-            self.lu, self.nnz = lu, lu.nnz
+            self.lu, self.nnz, self.perm_c = lu, lu.nnz, lu.perm_c
 
         def solve(self, b):
             return self.lu.solve(b)
 
-    def checked(self, mat):
+    def checked(mat, **options):
         assert all(ref() is None for ref in alive), "an earlier LU is still alive"
-        held = Held(factorize(self, mat))
+        held = Held(factorize(mat, **options))
         alive.append(weakref.ref(held))
         return held
 
-    monkeypatch.setattr(fom.GlobalFomSystem, "factorize", checked)
+    monkeypatch.setattr(fom, "saddle_lu", checked)
 
 
 class TestLuReuse:
@@ -603,6 +605,14 @@ class TestLuReuse:
         # and the attempts' iterations stay where the kept LU was tried
         assert [k > 0 for k in failed.gmres_iterations] == report.reused_lu
 
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_two_solves_on_one_system_are_identical(self, mixed_parts, outflow):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(outflow), ops, blocks)
+        first = solve_newton(system)
+        assert first[2].converged and any(first[2].reused_lu)
+        assert_same_solve(first, solve_newton(system))
+
     def test_singular_factorization_after_a_reused_step(self, mixed_parts, monkeypatch):
         ops, blocks = mixed_parts
         system = assemble_global(mixed_3x3_grid(True), ops, blocks)
@@ -615,10 +625,10 @@ class TestLuReuse:
             solved.append(True)
             return gmres(op, b, **options)
 
-        def singular_after_reuse(self, mat):
+        def singular_after_reuse(self, mat, order):
             if solved:
                 raise RuntimeError("Factor is exactly singular")
-            return factorize(self, mat)
+            return factorize(self, mat, order)
 
         monkeypatch.setattr(fom.spla, "gmres", once)
         monkeypatch.setattr(fom.GlobalFomSystem, "factorize", singular_after_reuse)

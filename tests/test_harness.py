@@ -196,19 +196,24 @@ class TestConfig:
             ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize(
-        "key, value, least",
+        "key, value, bound",
         [
             ("basis_size", 0, 1),
             ("basis_size", -2, 1),
             ("pressure_basis_size", 0, 1),
             ("supremizer_size", -1, 0),
+            ("reynolds", 0, "positive and finite"),
+            ("reynolds", -5, "positive and finite"),
+            ("reynolds", float("inf"), "positive and finite"),
         ],
     )
-    def test_out_of_range_size_rejected(self, tmp_path, key, value, least):
+    def test_out_of_range_size_rejected(self, tmp_path, key, value, bound):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
+        if not isinstance(bound, str):
+            bound = f"at least {bound}"
         with pytest.raises(
-            ValueError, match=re.escape(f"config key {key} must be at least {least}, not {value}")
+            ValueError, match=re.escape(f"config key {key} must be {bound}, not {value}")
         ):
             ExperimentConfig.from_json(path)
 

@@ -48,6 +48,23 @@ def assert_singular_solve_reported(system):
     assert_phases_within_total(report)
 
 
+def assert_same_solve(first, second):
+    """Two solves' (u, p, report) agree bit for bit, wall times aside."""
+    for a, b in zip(first[:2], second[:2], strict=True):
+        assert np.array_equal(a, b)
+    for key in (
+        "newton_iterations",
+        "residual_history",
+        "step_norms",
+        "fill_nnz",
+        "reused_lu",
+        "gmres_iterations",
+        "converged",
+        "message",
+    ):
+        assert getattr(first[2], key) == getattr(second[2], key), key
+
+
 def residual_blocks(system, u, p):
     """Momentum and continuity residuals of a system without a multiplier."""
     return system._split(system.residual(np.concatenate([u, p])))
@@ -337,6 +354,14 @@ class TestSolve:
         assert_phases_within_total(rep_f)
         assert_phases_within_total(rep_r)
 
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    def test_two_solves_on_one_system_are_identical(self, mixed_3x3, backend):
+        grid, reduced, riface = mixed_3x3
+        system = assemble_global_rom(grid, reduced, riface, backend)
+        first = solve_rom_newton(system)
+        assert first[2].newton_iterations > 0
+        assert_same_solve(first, solve_rom_newton(system))
+
     def test_lu_reuse_matches_refactoring_every_step(self, parts, monkeypatch):
         space, ops, blocks = parts
         basis = random_basis(space, 8, 3)
@@ -505,7 +530,7 @@ class TestBlockFactorization:
         mat = system.newton_matrix(adv)
         assert np.array_equal(mat.toarray(), dense)
         b = rng.standard_normal(system.n_dof)
-        x = system.factorize(mat).solve(b)
+        x = system.factorize(mat, system.start()[1]).solve(b)
         ref = np.linalg.solve(dense, b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         # the factorization leaves the matrix it factors unchanged
@@ -521,7 +546,8 @@ class TestBlockFactorization:
         # than the pivot blocks, less than the dense factors
         groups = nested_dissection(grid.rows, grid.cols)
         sizes = [sum(len(mat.nodes[m]) for m in g) for g in groups]
-        assert sum(k * k for k in sizes) < system.factorize(mat).nnz < system.n_dof**2
+        lu = system.factorize(mat, system.start()[1])
+        assert sum(k * k for k in sizes) < lu.nnz < system.n_dof**2
 
 
 class TestLift:
