@@ -1,0 +1,8 @@
+"""``python -m cromflow``: the command line of :mod:`cromflow.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

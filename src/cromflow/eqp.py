@@ -4,7 +4,13 @@ A sparse non-negative reweighting of the component's quadrature points is
 trained so that the projected advection integrals of all training snapshots
 are reproduced within a relative threshold.  The weights come from a
 Lawson-Hanson active-set iteration stopped as soon as the threshold is met,
-which favors small support over least-squares optimality.
+which favors small support over least-squares optimality.  The iteration
+runs on the Gram matrix of the constraints, formed once, with a Cholesky
+factor of the passive block that grows by one row per entering column and
+is refactored once per step back (least squares where that block is
+singular).  It tests its stop by the residual identity at the passive
+solution and confirms it by the exact residual, so the loop forms a
+product with the constraint rows only to confirm a stop.
 """
 
 from __future__ import annotations
@@ -12,12 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import _binio
 from .reduction import SnapshotSet, basis_checksum
 from .weakforms import ComponentOperators
 
 RULE_MAGIC = b"CROMEQP3"
+
+# a Cholesky pivot of the passive Gram block at or below this share of its
+# diagonal entry is roundoff: that column lies in the span of the others
+_SINGULAR_PIVOT = 1e-13
 
 
 class EqpError(RuntimeError):
@@ -136,6 +147,20 @@ def nnls(G: np.ndarray, d: np.ndarray, rel_tol: float = 0.0):
     misses that target.  With ``rel_tol = 0`` it runs to the NNLS optimum.
     Ties in column selection break to the lowest index.  The outer loop
     runs at most 3 n times for n columns.
+
+    The loop works on the Gram matrix A = GᵀG and b = Gᵀd, formed once
+    (Bro & De Jong, J. Chemometrics 11, 1997).  The passive columns are
+    kept in the order they entered, with their rows of A in one buffer and
+    the lower Cholesky factor of their Gram block in another: an entering
+    column appends one row to the factor by a triangular solve, and a step
+    back that drops columns refactors the kept block once.  The gradient is
+    b minus the passive rows of A weighted by the passive solution z.  At
+    that solution the residual norm is sqrt(||d||² - b_P·z), which the loop
+    tests instead of forming G w; a stop it allows is confirmed by the exact
+    ||G_P z - d||, and the loop goes on when that misses the target.  A
+    passive block whose new pivot is roundoff (a column in the span of the
+    others) is solved by least squares until a step back makes it
+    independent again.
     """
     G = np.asarray(G, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -148,45 +173,67 @@ def nnls(G: np.ndarray, d: np.ndarray, rel_tol: float = 0.0):
 
     A = G.T @ G
     b = G.T @ d
-    passive = np.zeros(n, dtype=bool)
     grad_tol = 1e-12 * max(np.abs(b).max(), 1.0)
+    # passive columns in entry order: idx[:m], their rows of A, and the
+    # lower Cholesky factor L[:m, :m] of A[idx[:m]][:, idx[:m]]
+    idx = np.empty(n, dtype=np.intp)
+    rows = np.empty((n, n))
+    L = np.zeros((n, n))
+    m = 0
+    z = np.zeros(0)
+    factored = True
 
-    best = d_norm
+    def residual():
+        return float(np.linalg.norm(G[:, idx[:m]] @ z - d))
+
     at_optimum = False
     for _ in range(3 * n):
-        if rel_tol > 0 and best <= target:
-            return w
-        grad = b - A @ w
-        grad[passive] = -np.inf
+        grad = b - z @ rows[:m]
+        grad[idx[:m]] = -np.inf
         k = int(np.argmax(grad))
         if grad[k] <= grad_tol:
             at_optimum = True
             break
-        passive[k] = True
+        if factored:
+            col = sla.solve_triangular(L[:m, :m], rows[:m, k], lower=True, check_finite=False)
+            L[m, :m] = col
+            L[m, m] = np.sqrt(max(A[k, k] - col @ col, 0.0))
+            factored = L[m, m] ** 2 > _SINGULAR_PIVOT * A[k, k]
+        idx[m] = k
+        rows[m] = A[k]
+        m += 1
         # inner loop: unconstrained solve on the passive set, step back on
-        # negative entries until feasible
+        # negative entries until feasible; the entering column starts at 0
+        w_p = np.append(z, 0.0)
         while True:
-            idx = np.flatnonzero(passive)
-            sub = A[np.ix_(idx, idx)]
-            try:
-                z = np.linalg.solve(sub, b[idx])
-            except np.linalg.LinAlgError:
-                z, *_ = np.linalg.lstsq(sub, b[idx], rcond=None)
+            P = idx[:m]
+            if factored:
+                z = sla.cho_solve((L[:m, :m], True), b[P], check_finite=False)
+            else:
+                z, *_ = np.linalg.lstsq(rows[:m, P], b[P], rcond=None)
             if z.size == 0 or z.min() > 0.0:
-                w = np.zeros(n)
-                w[idx] = z
                 break
-            zfull = np.zeros(n)
-            zfull[idx] = z
-            mask = passive & (zfull <= 0.0)
-            alpha = np.min(w[mask] / (w[mask] - zfull[mask]))
-            w = w + alpha * (zfull - w)
-            passive &= w > 0.0
-            w[~passive] = 0.0
-        best = float(np.linalg.norm(G @ w - d))
+            neg = z <= 0.0
+            alpha = np.min(w_p[neg] / (w_p[neg] - z[neg]))
+            w_p = w_p + alpha * (z - w_p)
+            keep = w_p > 0.0
+            w_p = w_p[keep]
+            m = w_p.size
+            idx[:m] = P[keep]
+            rows[:m] = rows[: keep.size][keep]
+            try:
+                L[:m, :m] = np.linalg.cholesky(rows[:m, idx[:m]])
+                pivots = np.diag(L)[:m] ** 2
+                factored = bool(np.all(pivots > _SINGULAR_PIVOT * A[idx[:m], idx[:m]]))
+            except np.linalg.LinAlgError:
+                factored = False
+        if rel_tol > 0 and d_norm**2 - b[idx[:m]] @ z <= target**2 and residual() <= target:
+            break
 
+    w[idx[:m]] = z
     if at_optimum and rel_tol == 0.0:
         return w
+    best = residual()
     if best <= target:
         return w
     raise EqpError(

@@ -50,6 +50,81 @@ def rel_diff(got, ref):
     return np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-300)
 
 
+def reference_nnls(G, d, rel_tol=0.0, events=None):
+    """Dense Lawson-Hanson loop, the reference for :func:`nnls`.
+
+    Every outer iteration forms the gradient b - A w over all columns and
+    the residual G w - d over all rows, and solves the gathered passive
+    block of A afresh.  ``events``, when a list, receives ("drop", count)
+    for each step back and ("lstsq", size) for each singular passive block.
+    """
+    n = G.shape[1]
+    d_norm = float(np.linalg.norm(d))
+    target = rel_tol * d_norm
+    w = np.zeros(n)
+    if d_norm == 0.0 or (rel_tol > 0 and d_norm <= target):
+        return w
+    A = G.T @ G
+    b = G.T @ d
+    passive = np.zeros(n, dtype=bool)
+    grad_tol = 1e-12 * max(np.abs(b).max(), 1.0)
+    best = d_norm
+    at_optimum = False
+    for _ in range(3 * n):
+        if rel_tol > 0 and best <= target:
+            return w
+        grad = b - A @ w
+        grad[passive] = -np.inf
+        k = int(np.argmax(grad))
+        if grad[k] <= grad_tol:
+            at_optimum = True
+            break
+        passive[k] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            sub = A[np.ix_(idx, idx)]
+            try:
+                z = np.linalg.solve(sub, b[idx])
+            except np.linalg.LinAlgError:
+                if events is not None:
+                    events.append(("lstsq", idx.size))
+                z, *_ = np.linalg.lstsq(sub, b[idx], rcond=None)
+            if z.size == 0 or z.min() > 0.0:
+                w = np.zeros(n)
+                w[idx] = z
+                break
+            zfull = np.zeros(n)
+            zfull[idx] = z
+            mask = passive & (zfull <= 0.0)
+            alpha = np.min(w[mask] / (w[mask] - zfull[mask]))
+            w = w + alpha * (zfull - w)
+            kept = passive & (w > 0.0)
+            if events is not None:
+                events.append(("drop", int(passive.sum() - kept.sum())))
+            passive = kept
+            w[~passive] = 0.0
+        best = float(np.linalg.norm(G @ w - d))
+    if (at_optimum and rel_tol == 0.0) or best <= target:
+        return w
+    raise EqpError("reference NNLS stalled", best_residual=best / d_norm)
+
+
+def assert_matches_reference(G, d, rel_tol):
+    """nnls and the reference agree: the same support and weights within
+    1e-10 normwise, or both raise with the same best residual."""
+    try:
+        ref = reference_nnls(G, d, rel_tol)
+    except EqpError as exc:
+        with pytest.raises(EqpError) as got:
+            nnls(G, d, rel_tol)
+        assert got.value.best_residual == pytest.approx(exc.best_residual, rel=1e-10)
+        return
+    w = nnls(G, d, rel_tol)
+    assert np.array_equal(np.flatnonzero(w > 0.0), np.flatnonzero(ref > 0.0))
+    scale = max(np.abs(ref).max(), 1e-300)
+    assert np.abs(w - ref).max() <= 1e-10 * scale
+
+
 @pytest.fixture(scope="module")
 def setup():
     space = TaylorHoodSpace(generate_empty_mesh(6))
@@ -112,6 +187,84 @@ class TestNnls:
     def test_zero_rhs(self):
         w = nnls(np.eye(3), np.zeros(3), 0.0)
         assert np.array_equal(w, np.zeros(3))
+
+    @pytest.mark.parametrize("rel_tol", [1e-1, 1e-2, 1e-3, 0.0])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_dense_reference(self, seed, rel_tol):
+        # even seeds: Gaussian columns and data, whose optimum often misses
+        # the tighter targets; odd seeds: positive columns and data in their
+        # cone, which every target reaches
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(20, 60)), int(rng.integers(50, 200))
+        if seed % 2 == 0:
+            G = rng.standard_normal((rows, cols))
+            d = rng.standard_normal(rows)
+        else:
+            G = np.abs(rng.standard_normal((rows, cols)))
+            d = G @ rng.uniform(0.0, 1.0, cols) / cols
+        assert_matches_reference(G, d, rel_tol)
+
+    # not rel_tol 0: this G has numerical rank 25 of 60 rows, and both loops
+    # end where the last gradients meet their roundoff tolerance
+    @pytest.mark.parametrize("rel_tol", [1e-1, 1e-2, 1e-3])
+    def test_matches_dense_reference_on_a_manifest(self, setup, rel_tol):
+        *_, manifest = setup
+        assert_matches_reference(manifest.G, manifest.d, rel_tol)
+
+    def test_step_back_dropping_two_columns(self):
+        # columns 0 and 1 enter with weights 0.1 each; column 2 then drives
+        # both to -0.1 in the passive solve, so one step back drops both
+        G = np.array([[10.0, 0.0, 2.0], [0.0, 10.0, 2.0], [0.0, 0.0, 1.0]])
+        d = np.array([1.0, 1.0, 1.0])
+        events = []
+        ref = reference_nnls(G, d, 0.0, events)
+        assert ("drop", 2) in events
+        w = nnls(G, d, 0.0)
+        assert np.array_equal(np.flatnonzero(w > 0.0), [2])
+        assert np.abs(w - ref).max() <= 1e-12 * ref.max()
+        assert w[2] == pytest.approx(5.0 / 9.0, rel=1e-14)
+
+    def test_collinear_columns_fall_back_to_least_squares(self):
+        from scipy.optimize import nnls as scipy_nnls
+
+        # two nearly opposite columns, each repeated: at their passive
+        # solution the copies' gradients are roundoff that passes the
+        # tolerance, so a copy enters and the passive block is singular
+        g0 = 10.0 * np.array([1.0, 1e-3, 0.0])
+        g1 = 10.0 * np.array([-1.0, 1e-3, 0.0])
+        G = np.column_stack([g0, g1, g0, g1, g0])
+        d = 10.0 * np.array([0.0, 1.0, 1.0])
+        events = []
+        reference_nnls(G, d, 0.0, events)
+        assert any(kind == "lstsq" for kind, _ in events)
+        w = nnls(G, d, 0.0)
+        assert np.all(np.isfinite(w)) and w.min() >= 0.0
+        _, optimum = scipy_nnls(G, d)
+        assert np.linalg.norm(G @ w - d) == pytest.approx(optimum, rel=1e-10)
+
+    @pytest.mark.parametrize("optimum", [0.995e-7, 1.005e-7])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stop_is_confirmed_by_the_exact_residual(self, seed, optimum):
+        # d = G w0 plus a part orthogonal to the columns, so the NNLS optimum
+        # has that relative residual, just inside or just outside 1e-7; there
+        # sqrt(|d|^2 - b.z) has lost all but about two digits
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((200, 80))
+        w0 = np.zeros(80)
+        w0[rng.choice(80, 20, replace=False)] = rng.uniform(0.5, 1.0, 20)
+        Q, _ = np.linalg.qr(G)
+        e = rng.standard_normal(200)
+        e -= Q @ (Q.T @ e)
+        d = G @ w0
+        d += optimum * np.linalg.norm(d) * e / np.linalg.norm(e)
+        rel_tol = 1e-7
+        if optimum > rel_tol:
+            with pytest.raises(EqpError) as exc:
+                nnls(G, d, rel_tol)
+            assert exc.value.best_residual == pytest.approx(optimum, rel=1e-6)
+        else:
+            w = nnls(G, d, rel_tol)
+            assert np.linalg.norm(G @ w - d) <= rel_tol * np.linalg.norm(d)
 
 
 class TestManifest:

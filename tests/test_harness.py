@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -365,6 +368,18 @@ def tiny_cli_config(tmp_path, **changes):
 
 
 class TestCli:
+    def test_module_entry_runs_the_cli(self):
+        import cromflow
+
+        src = str(Path(cromflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "cromflow", "train", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: cromflow train")
+
     def test_full_pipeline(self, tmp_path):
         from cromflow.cli import main
 
