@@ -9,15 +9,20 @@ pivot group with one dense LU; its Schur complement onto the later cells it
 touches (its front) is one matrix product, scattered back as cell blocks.
 This is static condensation (Huynh, Knezevic & Patera, M2AN 47, 2013)
 applied level by level.
+
+The factorization runs in the precision of the blocks it is given: every
+gathered buffer, LAPACK call, Schur update and stored coupling keeps their
+dtype.  The reduced system factors its Newton matrix in float32 and refines
+the step in float64 (:func:`cromflow.fom.fgmres`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import lapack
 
 # a rectangle of at most this many cells is one pivot group
 _LEAF_CELLS = 2
@@ -85,16 +90,16 @@ def nested_dissection(rows: int, cols: int) -> list:
     return dissect(0, rows, 0, cols)
 
 
-def _starts(nodes, sizes) -> np.ndarray:
-    return np.cumsum([0, *(sizes[i] for i in nodes)])
+def _starts(nodes, sizes) -> list:
+    return list(accumulate((sizes[i] for i in nodes), initial=0))
 
 
-def _gather(blocks: dict, row_nodes, col_nodes, sizes) -> np.ndarray:
-    """The dense submatrix of ``row_nodes`` x ``col_nodes``; gathered blocks
-    are removed from ``blocks``."""
+def _gather(blocks: dict, row_nodes, col_nodes, sizes, dtype) -> np.ndarray:
+    """The dense submatrix of ``row_nodes`` x ``col_nodes``, Fortran-ordered
+    for LAPACK; gathered blocks are removed from ``blocks``."""
     r_off = _starts(row_nodes, sizes)
     c_off = _starts(col_nodes, sizes)
-    out = np.zeros((r_off[-1], c_off[-1]))
+    out = np.zeros((r_off[-1], c_off[-1]), dtype=dtype, order="F")
     for a, i in enumerate(row_nodes):
         for b, j in enumerate(col_nodes):
             blk = blocks.pop((i, j), None)
@@ -107,43 +112,42 @@ class BlockLU:
     """LU factorization of a :class:`CellBlockMatrix` by pivot groups.
 
     ``groups`` lists the nodes of each pivot group in elimination order and
-    covers every node once.  Pivoting is partial within each group.  An
-    exactly singular pivot block raises ``RuntimeError``.
+    covers every node once.  Pivoting is partial within each group.  The
+    factors have the dtype of the blocks (float32 or float64).  An exactly
+    singular pivot block raises ``RuntimeError``.
     """
 
     def __init__(self, mat: CellBlockMatrix, groups):
         sizes = [len(rows) for rows in mat.nodes]
         blocks = dict(mat.blocks)  # remaining blocks; the matrix is not modified
+        self.dtype = np.result_type(*blocks.values())
+        self._getrf, self._getrs = lapack.get_lapack_funcs(("getrf", "getrs"), dtype=self.dtype)
         adjacent = {}
         for i, j in blocks:
             adjacent.setdefault(i, set()).add(j)
         self._steps = []
-        with warnings.catch_warnings():
-            # an exactly zero pivot is detected below, not warned about
-            warnings.simplefilter("ignore", LinAlgWarning)
-            for group in groups:
-                members = set(group)
-                front = sorted(set().union(*(adjacent.pop(g, ()) for g in group)) - members)
-                lu, piv = lu_factor(
-                    _gather(blocks, group, group, sizes), overwrite_a=True, check_finite=False
+        for group in groups:
+            members = set(group)
+            front = sorted(set().union(*(adjacent.pop(g, ()) for g in group)) - members)
+            pivot = _gather(blocks, group, group, sizes, self.dtype)
+            lu, piv, info = self._getrf(pivot, overwrite_a=True)
+            if info > 0:
+                raise RuntimeError(f"pivot block of nodes {group} is exactly singular")
+            lower = _gather(blocks, front, group, sizes, self.dtype)
+            coupling = _gather(blocks, group, front, sizes, self.dtype)
+            upper, _ = self._getrs(lu, piv, coupling, overwrite_b=True)
+            self._scatter_schur(blocks, front, sizes, lower @ upper)
+            for f in front:
+                adjacent[f] = (adjacent[f] - members) | set(front)
+            self._steps.append(
+                (
+                    (lu, piv),
+                    np.concatenate([mat.nodes[g] for g in group]),
+                    np.concatenate([mat.nodes[f] for f in front] or [np.zeros(0, int)]),
+                    lower,
+                    upper,
                 )
-                if not np.all(np.diagonal(lu)):
-                    raise RuntimeError(f"pivot block of nodes {group} is exactly singular")
-                lower = _gather(blocks, front, group, sizes)
-                coupling = _gather(blocks, group, front, sizes)
-                upper = lu_solve((lu, piv), coupling, overwrite_b=True, check_finite=False)
-                self._scatter_schur(blocks, front, sizes, lower @ upper)
-                for f in front:
-                    adjacent[f] = (adjacent[f] - members) | set(front)
-                self._steps.append(
-                    (
-                        (lu, piv),
-                        np.concatenate([mat.nodes[g] for g in group]),
-                        np.concatenate([mat.nodes[f] for f in front] or [np.zeros(0, int)]),
-                        lower,
-                        upper,
-                    )
-                )
+            )
 
     @property
     def nnz(self) -> int:
@@ -160,12 +164,14 @@ class BlockLU:
                 blocks[i, j] = -part if blk is None else blk - part
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.array(b, dtype=float)
+        """``mat⁻¹ b``, eliminated in the factors' dtype, ``b`` rounded to it;
+        the result is float64."""
+        x = np.array(b, dtype=self.dtype)
         pivots = []
-        for factor, rows, front_rows, lower, _ in self._steps:
-            y = lu_solve(factor, x[rows], check_finite=False)
+        for (lu, piv), rows, front_rows, lower, _ in self._steps:
+            y, _ = self._getrs(lu, piv, x[rows], overwrite_b=True)
             x[front_rows] -= lower @ y
             pivots.append(y)
         for (_, rows, front_rows, _, upper), y in zip(reversed(self._steps), reversed(pivots)):
             x[rows] = y - upper @ x[front_rows]
-        return x
+        return x.astype(np.float64, copy=False)

@@ -12,11 +12,15 @@ residual, :func:`solve_newton`, the only solve entry of both systems; each
 system supplies its start state with the elimination order of the solve,
 its Newton matrix (the saddle operator plus the advection Jacobian) and a
 direct factorization of that matrix in that order.  A system is not changed
-by a solve, so two solves on one system give the same numbers.  Once Newton
-contracts fast, a step solves its matrix by GMRES, right-preconditioned by
-the latest factorization, instead of factoring it (inexact Newton,
-Eisenstat & Walker, SISC 17, 1996, with a frozen preconditioner, Knoll &
-Keyes, JCP 193, 2004).  The full-order system starts from a Stokes solve;
+by a solve, so two solves on one system give the same numbers.  Every step
+solves its matrix by one flexible GMRES cycle right-preconditioned by the
+latest factorization (:func:`fgmres`), which refines a factorization in
+lower precision, the reduced system's float32 block LU, to float64.  Once
+Newton contracts fast, a step tries the factorization of an earlier step
+before it factors its own (inexact Newton, Eisenstat & Walker, SISC 17,
+1996, with a frozen preconditioner, Knoll & Keyes, JCP 193, 2004).  The
+full-order system factors in float64 (SuperLU), so a step on its own LU
+takes one iteration.  The full-order system starts from a Stokes solve;
 the Stokes matrix and every Newton matrix share one sparse pattern, built
 once, and SuperLU orders the unknowns once per solve, at the Stokes start.
 """
@@ -32,6 +36,7 @@ from typing import ClassVar, Mapping, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from . import _binio
 from .geometry import GridConfig, SIDES, interface_topology
@@ -48,10 +53,14 @@ _SIDE_OF_CELL = {
 # a Newton step reuses the latest LU when the step before it cut the
 # residual norm below this fraction of the one before
 _REUSE_BELOW = 0.1
-# the reused LU preconditions one GMRES cycle of this many iterations, which
-# must bring the linear residual below this fraction of the Newton target
+# every Newton step is one flexible GMRES cycle of at most this many
+# iterations, right-preconditioned by the latest LU, which must bring the
+# linear residual below this fraction of the Newton target; a target below
+# the floor fraction of the residual norm, which float64 cannot resolve, is
+# raised to it
 _GMRES_RESTART = 30
 _GMRES_TOL = 1e-3
+_GMRES_FLOOR = 1e-13
 
 
 def saddle_lu(mat, permc_spec: str = "COLAMD"):
@@ -76,9 +85,9 @@ class SolveReport:
     # entries stored by each Newton factorization (LU fill), one per
     # factorization; the full-order Stokes start is not counted
     fill_nnz: list
-    # one per iteration: whether GMRES on the kept LU solved the step, and
-    # its GMRES iterations (0 where none ran; a failed attempt, which the
-    # step's factorization follows, keeps its count)
+    # one per iteration: whether FGMRES on the kept LU solved the step, and
+    # the step's FGMRES iterations, at least 1 (a failed attempt on the kept
+    # LU adds its count to the iterations on the step's own LU)
     reused_lu: list
     gmres_iterations: list
     # seconds: assembly; the Newton phases jacobian (advection Jacobian),
@@ -88,7 +97,9 @@ class SolveReport:
     # start of the solve
     wall_times: dict
     converged: bool
-    message: str = ""    # why not converged: failed start, singular LU, divergence, max_iter
+    # why not converged: failed start, singular LU, linear solve failed on a
+    # fresh LU, divergence, max_iter
+    message: str = ""
 
 
 @dataclass(kw_only=True)
@@ -297,25 +308,53 @@ def _timed(times: dict, phase: str):
         times[phase] += time.perf_counter() - t0
 
 
-def _gmres_step(jac, lu, r: np.ndarray, atol: float):
-    """The Newton step ``jac⁻¹ (−r)`` by one GMRES cycle on ``jac · lu⁻¹``.
+def fgmres(mat, lu, b: np.ndarray, atol: float):
+    """``mat⁻¹ b`` by one cycle of flexible GMRES right-preconditioned by ``lu``.
 
-    Right preconditioning by an older factorization ``lu`` keeps GMRES on
-    the true linear residual ``jac · step + r``, which must fall to
-    ``atol``.  Returns (step, or None where GMRES fell short, iterations).
+    The flexible variant (Saad, SISC 14, 1993) keeps each preconditioned
+    vector z_k = ``lu.solve(v_k)`` and returns x = Σ y_k z_k, so ``lu`` need
+    not be a linear map: a factorization in lower precision rounds its
+    input, and refines to float64 here (Carson & Higham, SISC 40, 2018).
+    The Arnoldi basis grows by one vector per iteration.  Once the Arnoldi
+    estimate of the residual reaches ``atol``, one product ``b − mat @ x``
+    confirms it.  Returns (x, or None where the cycle of ``_GMRES_RESTART``
+    iterations ends above ``atol``, iterations, the residual norm: the true
+    one, or the estimate where the Arnoldi process broke down).
     """
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    op = spla.LinearOperator(jac.shape, matvec=lambda y: jac @ lu.solve(y), dtype=float)
-    y, info = spla.gmres(
-        op, -r, restart=_GMRES_RESTART, maxiter=1, rtol=0.0, atol=atol,
-        callback=count, callback_type="pr_norm",
-    )
-    return (lu.solve(y) if info == 0 else None), iterations
+    restart = _GMRES_RESTART
+    beta = float(np.linalg.norm(b))
+    basis, precond = [b / beta], []
+    hess = np.zeros((restart + 1, restart))
+    cos, sin = np.zeros(restart), np.zeros(restart)
+    g = np.zeros(restart + 1)   # the rotated right-hand side beta * e_1
+    g[0] = beta
+    for k in range(restart):
+        precond.append(lu.solve(basis[k]))
+        w = mat @ precond[k]
+        for i, v in enumerate(basis):  # modified Gram-Schmidt
+            hess[i, k] = v @ w
+            w -= hess[i, k] * v
+        norm_w = float(np.linalg.norm(w))
+        h = hess[: k + 2, k]
+        h[k + 1] = norm_w
+        for i in range(k):  # the earlier Givens rotations
+            h[i], h[i + 1] = cos[i] * h[i] + sin[i] * h[i + 1], cos[i] * h[i + 1] - sin[i] * h[i]
+        rho = np.hypot(h[k], h[k + 1])
+        if not rho > 0.0:  # breakdown, or a non-finite preconditioned vector
+            return None, k + 1, float(abs(g[k]))
+        cos[k], sin[k] = h[k] / rho, h[k + 1] / rho
+        h[k], h[k + 1] = rho, 0.0
+        g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
+        last = k + 1 == restart or norm_w == 0.0
+        if abs(g[k + 1]) <= atol or last:
+            y = solve_triangular(hess[: k + 1, : k + 1], g[: k + 1], check_finite=False)
+            x = sum(yk * zk for yk, zk in zip(y, precond))
+            res = float(np.linalg.norm(b - mat @ x))
+            if res <= atol:
+                return x, k + 1, res
+            if last:
+                return None, k + 1, res
+        basis.append(w / norm_w)
 
 
 def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
@@ -325,16 +364,19 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
     solve at full order and the zero state in the reduced system; it also
     gives the elimination order, which the solve holds to its end.  Each
     step asks the system for its Newton matrix
-    (``newton_matrix(advection_jacobian(u))``).  The latest factorization
-    (``factorize(mat, order)``) is kept: once the previous step cut the
-    residual norm below ``_REUSE_BELOW`` of the one before, a step solves
-    its matrix by one GMRES cycle right-preconditioned by that LU, to
-    ``_GMRES_TOL`` of the Newton target.  Otherwise, or where GMRES falls
-    short, the step drops the old LU and factors its own matrix.  A failed
-    start or a singular factorization (``RuntimeError``), a non-finite
-    residual or ``max_iter`` steps without reaching the tolerance end the
-    solve with a non-converged report whose ``message`` says which; nothing
-    is raised.  A failed start leaves the zero state.  Returns (u, p, report).
+    (``newton_matrix(advection_jacobian(u))``) and solves it by one
+    :func:`fgmres` cycle right-preconditioned by the latest factorization
+    (``factorize(mat, order)``), to ``_GMRES_TOL`` of the Newton target
+    (never below ``_GMRES_FLOOR`` of the residual norm).  That LU is kept:
+    once the previous step cut the residual norm below ``_REUSE_BELOW`` of
+    the one before, a step tries it first.  Otherwise, or where the cycle
+    falls short, the step drops the old LU, factors its own matrix and runs
+    the cycle on it.  A failed start or a singular factorization
+    (``RuntimeError``), a cycle that falls short on a fresh factorization, a
+    non-finite residual or ``max_iter`` steps without reaching the
+    tolerance end the solve with a non-converged report whose ``message``
+    says which; nothing is raised.  A failed start leaves the zero state.
+    Returns (u, p, report).
     """
     t_start = time.perf_counter()
     times = dict.fromkeys(("jacobian", "saddle", "factorization", "solve", "residual"), 0.0)
@@ -361,9 +403,10 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
         with _timed(times, "saddle"):
             jac = system.newton_matrix(adv)
         step, iterations = None, 0
+        atol = max(_GMRES_TOL * target, _GMRES_FLOOR * history[-1])
         if lu is not None:
             with _timed(times, "solve"):
-                step, iterations = _gmres_step(jac, lu, r, _GMRES_TOL * target)
+                step, iterations, _ = fgmres(jac, lu, -r, atol)
         reused = step is not None
         if not reused:
             lu = None  # freed before the refactorization
@@ -374,10 +417,14 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
                 message = f"singular Newton factorization: {exc}"
                 break
             fill_nnz.append(int(lu.nnz))
+            with _timed(times, "solve"):
+                step, fresh, res = fgmres(jac, lu, -r, atol)
+            iterations += fresh
+            if step is None:
+                message = f"linear solve failed on a fresh factorization (residual {res:.3e})"
+                break
         del jac  # freed before the next step builds its own
         with _timed(times, "solve"):
-            if not reused:
-                step = lu.solve(-r)
             x = x + step
         reused_lu.append(reused)
         gmres_iterations.append(iterations)

@@ -7,8 +7,9 @@ with every component and interface block replaced by its dense projection;
 the Dirichlet loads come from the projected load builders of the sides, so
 any inflow data can be applied without reassembling full-order operators.  The
 projections are summed into one dense saddle block per cell and per
-neighbouring cell pair, and each Newton matrix is factored block by block
-in nested-dissection order (:mod:`cromflow.blocklu`).  The system is solved
+neighbouring cell pair, and each Newton matrix is rounded to float32 and
+factored block by block in nested-dissection order (:mod:`cromflow.blocklu`);
+the Newton loop refines each step to float64.  The system is solved
 by the one Newton function of :mod:`cromflow.fom`, here named
 :func:`solve_rom_newton`, from the zero reduced state.
 
@@ -166,8 +167,10 @@ class GlobalRomSystem(BlockSystem):
         return CellBlockMatrix(self.saddle.nodes, blocks)
 
     def factorize(self, mat: CellBlockMatrix, groups: list) -> BlockLU:
-        """Block LU by the pivot groups from :meth:`start`."""
-        return BlockLU(mat, groups)
+        """Block LU of ``mat`` rounded to float32, by the pivot groups from
+        :meth:`start`; the Newton solve refines its steps in float64."""
+        blocks = {key: blk.astype(np.float32) for key, blk in mat.blocks.items()}
+        return BlockLU(CellBlockMatrix(mat.nodes, blocks), groups)
 
     def divergence_sigma_min(self) -> float:
         """Smallest singular value of the assembled reduced B in l2 coordinates."""

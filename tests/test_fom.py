@@ -4,6 +4,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import lu_factor, lu_solve
 
 from cromflow import fom
 from cromflow.femspace import TaylorHoodSpace
@@ -31,7 +33,7 @@ from cromflow.weakforms import (
     build_component_operators,
 )
 
-from test_rom import assert_same_solve, random_basis
+from test_rom import assert_same_solve, fail_on_kept_lu, random_basis, route_kept_lu
 
 NU = 0.04
 
@@ -540,11 +542,6 @@ class TestNewtonPattern:
         assert lu.nnz > mat.nnz
 
 
-def failing_gmres(op, b, **options):
-    """A GMRES that reports failure without iterating."""
-    return np.zeros_like(b), 1
-
-
 def refuse_a_second_live_lu(monkeypatch):
     """Make every full-order factorization, the Stokes start's included,
     fail while an earlier one is alive."""
@@ -572,7 +569,7 @@ class TestLuReuse:
         grid = mixed_3x3_grid(True)
         refuse_a_second_live_lu(monkeypatch)
         u, p, report = solve_newton(assemble_global(grid, ops, blocks))
-        monkeypatch.setattr(fom.spla, "gmres", failing_gmres)
+        route_kept_lu(monkeypatch, fail_on_kept_lu)
         u_ref, p_ref, ref = solve_newton(assemble_global(grid, ops, blocks))
         assert report.converged and ref.converged
         assert report.newton_iterations == ref.newton_iterations
@@ -581,29 +578,33 @@ class TestLuReuse:
         assert any(report.reused_lu) and not any(ref.reused_lu)
         assert len(report.fill_nnz) < len(ref.fill_nnz) == ref.newton_iterations
         assert len(report.fill_nnz) == report.newton_iterations - sum(report.reused_lu)
-        # GMRES ran on the reused steps only, and solved each
-        assert [k > 0 for k in report.gmres_iterations] == report.reused_lu
-        assert ref.gmres_iterations == [0] * ref.newton_iterations
+        # every step ran FGMRES; on its own exact LU a step takes one iteration
+        assert all(k >= 1 for k in report.gmres_iterations)
+        assert [k for k, reused in zip(report.gmres_iterations, report.reused_lu) if not reused] == [
+            1
+        ] * len(report.fill_nnz)
+        assert ref.gmres_iterations == [1] * ref.newton_iterations
 
     def test_gmres_failure_refactors_on_the_same_step(self, mixed_parts, monkeypatch):
         ops, blocks = mixed_parts
         grid = mixed_3x3_grid(True)
         _, _, report = solve_newton(assemble_global(grid, ops, blocks))
-        gmres = fom.spla.gmres
 
-        def short(op, b, **options):  # iterates, then reports failure
-            y, _ = gmres(op, b, **options)
-            return y, 1
+        def short(fgmres, mat, lu, b, atol, *args):  # iterates, then reports failure
+            _, iterations, res = fgmres(mat, lu, b, atol, *args)
+            return None, iterations, res
 
-        monkeypatch.setattr(fom.spla, "gmres", short)
+        route_kept_lu(monkeypatch, short)
         refuse_a_second_live_lu(monkeypatch)
         _, _, failed = solve_newton(assemble_global(grid, ops, blocks))
         assert failed.converged and failed.newton_iterations == report.newton_iterations
         assert not any(failed.reused_lu)
         # every step factors, a failed attempt's included
         assert len(failed.fill_nnz) == failed.newton_iterations
-        # and the attempts' iterations stay where the kept LU was tried
-        assert [k > 0 for k in failed.gmres_iterations] == report.reused_lu
+        # the attempts' iterations add to the one on the step's own LU, where
+        # the kept LU was tried
+        assert [k > 1 for k in failed.gmres_iterations] == report.reused_lu
+        assert all(k >= 1 for k in failed.gmres_iterations)
 
     @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
     def test_two_solves_on_one_system_are_identical(self, mixed_parts, outflow):
@@ -616,21 +617,21 @@ class TestLuReuse:
     def test_singular_factorization_after_a_reused_step(self, mixed_parts, monkeypatch):
         ops, blocks = mixed_parts
         system = assemble_global(mixed_3x3_grid(True), ops, blocks)
-        gmres, factorize = fom.spla.gmres, fom.GlobalFomSystem.factorize
+        factorize = fom.GlobalFomSystem.factorize
         solved = []
 
-        def once(op, b, **options):  # solves the first reused step only
+        def once(fgmres, mat, lu, b, atol, *args):  # solves the first reused step only
             if solved:
-                return failing_gmres(op, b)
+                return fail_on_kept_lu(fgmres, mat, lu, b, atol)
             solved.append(True)
-            return gmres(op, b, **options)
+            return fgmres(mat, lu, b, atol, *args)
 
         def singular_after_reuse(self, mat, order):
             if solved:
                 raise RuntimeError("Factor is exactly singular")
             return factorize(self, mat, order)
 
-        monkeypatch.setattr(fom.spla, "gmres", once)
+        route_kept_lu(monkeypatch, once)
         monkeypatch.setattr(fom.GlobalFomSystem, "factorize", singular_after_reuse)
         u, p, report = solve_newton(system)
         assert not report.converged
@@ -641,6 +642,101 @@ class TestLuReuse:
         assert len(report.gmres_iterations) == len(report.step_norms) == report.newton_iterations
         assert len(report.residual_history) == report.newton_iterations + 1
         assert u.shape == (system.n_u,) and p.shape == (system.n_p,)
+
+    @pytest.mark.parametrize("good", [0, 1], ids=["first", "second"])
+    def test_poor_fresh_factorization_ends_the_solve(self, mixed_parts, monkeypatch, good):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(True), ops, blocks)
+        factorize, made = fom.GlobalFomSystem.factorize, []
+
+        def poor_after(self, mat, order):  # the first ``good`` LUs are exact
+            made.append(True)
+            return factorize(self, mat, order) if len(made) <= good else _NoLU()
+
+        monkeypatch.setattr(fom.GlobalFomSystem, "factorize", poor_after)
+        u, p, report = solve_newton(system)
+        assert not report.converged
+        assert report.message.startswith("linear solve failed on a fresh factorization (residual ")
+        # the steps on exact LUs count, the failed step does not; its
+        # factorization does
+        assert len(made) == len(report.fill_nnz) == good + 1
+        assert report.newton_iterations == good
+        assert len(report.step_norms) == len(report.gmres_iterations) == good
+        assert len(report.residual_history) == good + 1
+        assert u.shape == (system.n_u,) and p.shape == (system.n_p,)
+
+
+class _DenseLU:
+    """LU of a dense matrix in ``dtype``; solves round their input to it."""
+
+    def __init__(self, a, dtype=np.float64):
+        self.dtype, self._factor = dtype, lu_factor(a.astype(dtype))
+
+    def solve(self, b):
+        return lu_solve(self._factor, b.astype(self.dtype)).astype(np.float64)
+
+
+class _NoLU:
+    """A preconditioner that does nothing: the poorest LU."""
+
+    nnz = 1
+
+    def solve(self, b):
+        return b.copy()
+
+
+def conditioned_system(seed, n=200, cond=1e4):
+    """A dense matrix with singular values spread from 1 to ``cond``, and a
+    right-hand side."""
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return q1 @ np.diag(np.logspace(0, np.log10(cond), n)) @ q2, rng.standard_normal(n)
+
+
+class TestFgmres:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_lu_takes_one_iteration(self, seed):
+        a, b = conditioned_system(seed)
+        atol = 1e-11 * np.linalg.norm(b)
+        x, iterations, res = fom.fgmres(a, _DenseLU(a), b, atol)
+        assert iterations == 1
+        assert res == np.linalg.norm(b - a @ x) <= atol
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float32_lu_refines_to_double_precision(self, seed):
+        a, b = conditioned_system(seed)
+        lu = _DenseLU(a, np.float32)
+        atol = 1e-12 * np.linalg.norm(b)
+        x, iterations, res = fom.fgmres(a, lu, b, atol)
+        assert x is not None and 1 < iterations < fom._GMRES_RESTART
+        assert res == np.linalg.norm(b - a @ x) <= atol
+        # GMRES that assumes a linear preconditioner fails on the same LU
+        op = spla.LinearOperator(a.shape, matvec=lambda y: a @ lu.solve(y), dtype=float)
+        y, info = spla.gmres(op, b, restart=fom._GMRES_RESTART, maxiter=1, rtol=0.0, atol=atol)
+        assert info != 0
+        assert np.linalg.norm(b - a @ lu.solve(y)) > atol
+
+    def test_reports_failure_at_the_cap(self):
+        a, b = conditioned_system(0)
+        atol = 1e-12 * np.linalg.norm(b)
+        x, iterations, res = fom.fgmres(a, _NoLU(), b, atol)
+        assert x is None and iterations == fom._GMRES_RESTART
+        assert atol < res < np.linalg.norm(b)
+
+    def test_breakdown_reports_failure(self):
+        # the preconditioned operator maps the first basis vector to zero
+        a, b = conditioned_system(0)
+        x, iterations, res = fom.fgmres(np.zeros_like(a), _NoLU(), b, 1e-12 * np.linalg.norm(b))
+        assert x is None and iterations == 1
+        assert res == np.linalg.norm(b)
+
+    def test_two_calls_give_the_same_bits(self):
+        a, b = conditioned_system(1)
+        lu = _DenseLU(a, np.float32)
+        first, second = (fom.fgmres(a, lu, b, 1e-12 * np.linalg.norm(b)) for _ in range(2))
+        assert np.array_equal(first[0], second[0])
+        assert first[1:] == second[1:]
 
 
 class TestMms:

@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from cromflow import fom, rom
-from cromflow.blocklu import BlockLU, nested_dissection
+from cromflow.blocklu import BlockLU, CellBlockMatrix, nested_dissection
 from cromflow.eqp import EqpRule
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.fom import assemble_global, solve_newton
@@ -63,6 +65,26 @@ def assert_same_solve(first, second):
         "message",
     ):
         assert getattr(first[2], key) == getattr(second[2], key), key
+
+
+def route_kept_lu(monkeypatch, kept):
+    """Route every ``fom.fgmres`` call on a kept LU, one it has run on
+    before, to ``kept(fgmres, mat, lu, b, atol)``; a fresh LU runs the real
+    one.  The LUs are held by weak reference only."""
+    fgmres, seen = fom.fgmres, weakref.WeakSet()
+
+    def routed(mat, lu, b, atol, *args):
+        if lu in seen:
+            return kept(fgmres, mat, lu, b, atol, *args)
+        seen.add(lu)
+        return fgmres(mat, lu, b, atol, *args)
+
+    monkeypatch.setattr(fom, "fgmres", routed)
+
+
+def fail_on_kept_lu(fgmres, mat, lu, b, atol, *args):
+    """Reports failure without iterating: every Newton step factors."""
+    return None, 0, float(np.linalg.norm(b))
 
 
 def residual_blocks(system, u, p):
@@ -362,6 +384,24 @@ class TestSolve:
         assert first[2].newton_iterations > 0
         assert_same_solve(first, solve_rom_newton(system))
 
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_float32_factorization_matches_float64(self, mixed_3x3, backend, outflow, monkeypatch):
+        grid, reduced, riface = mixed_3x3
+        if not outflow:
+            bc = {s: SideBC("dirichlet", channel_profile) for s in "LRBT"}
+            grid = GridConfig(3, 3, grid.cell_component, NU, bc)
+        system = assemble_global_rom(grid, reduced, riface, backend)
+        uh, ph, report = solve_rom_newton(system)
+        # the reference factors the same blocks in float64
+        monkeypatch.setattr(rom.GlobalRomSystem, "factorize", lambda self, mat, groups: BlockLU(mat, groups))
+        uh_ref, ph_ref, ref = solve_rom_newton(system)
+        assert report.converged and ref.converged
+        assert report.newton_iterations == ref.newton_iterations
+        assert len(report.fill_nnz) == len(ref.fill_nnz)
+        x, x_ref = np.concatenate([uh, ph]), np.concatenate([uh_ref, ph_ref])
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
     def test_lu_reuse_matches_refactoring_every_step(self, parts, monkeypatch):
         space, ops, blocks = parts
         basis = random_basis(space, 8, 3)
@@ -369,8 +409,8 @@ class TestSolve:
         reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
         grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
         uh, ph, report = solve_rom_newton(assemble_global_rom(grid, reduced, riface))
-        # a GMRES that reports failure: every step factors
-        monkeypatch.setattr(fom.spla, "gmres", lambda op, b, **options: (np.zeros_like(b), 1))
+        # FGMRES fails on every kept LU: every step factors
+        route_kept_lu(monkeypatch, fail_on_kept_lu)
         uh_ref, ph_ref, ref = solve_rom_newton(assemble_global_rom(grid, reduced, riface))
         assert report.converged and ref.converged
         assert report.newton_iterations == ref.newton_iterations
@@ -378,7 +418,9 @@ class TestSolve:
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
         assert any(report.reused_lu) and not any(ref.reused_lu)
         assert len(report.fill_nnz) < len(ref.fill_nnz) == ref.newton_iterations
-        assert [k > 0 for k in report.gmres_iterations] == report.reused_lu
+        # every step ran FGMRES, on the kept LU or on its own
+        assert all(k >= 1 for k in report.gmres_iterations)
+        assert all(k >= 1 for k in ref.gmres_iterations)
 
     def test_singular_factorization_is_reported(self, parts):
         space, ops, blocks = parts
@@ -530,11 +572,33 @@ class TestBlockFactorization:
         mat = system.newton_matrix(adv)
         assert np.array_equal(mat.toarray(), dense)
         b = rng.standard_normal(system.n_dof)
-        x = system.factorize(mat, system.start()[1]).solve(b)
+        groups = system.start()[1]
         ref = np.linalg.solve(dense, b)
+        # the elimination in float64, on the float64 blocks
+        x = BlockLU(mat, groups).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        # the factorization leaves the matrix it factors unchanged
+        # the Newton step: the system's float32 factorization, refined by FGMRES
+        lu = system.factorize(mat, groups)
+        assert lu.dtype == np.float32
+        step, iterations, res = fom.fgmres(mat, lu, b, 1e-13 * np.linalg.norm(b))
+        assert step is not None and 1 < iterations < fom._GMRES_RESTART
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+        # the factorizations leave the matrix they factor unchanged
         assert np.array_equal(mat.toarray(), dense)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factors_keep_the_dtype_of_the_blocks(self, mixed_3x3, dtype):
+        grid, reduced, riface = mixed_3x3
+        system = assemble_global_rom(grid, reduced, riface)
+        mat = system.newton_matrix(system.advection_jacobian(np.ones(system.n_u)))
+        blocks = {key: blk.astype(dtype) for key, blk in mat.blocks.items()}
+        lu = BlockLU(CellBlockMatrix(mat.nodes, blocks), system.start()[1])
+        assert lu.dtype == dtype
+        # every pivot LU and every stored coupling, not only the input
+        for (factor, _), _, _, lower, upper in lu._steps:
+            assert factor.dtype == lower.dtype == upper.dtype == dtype
+        b = np.random.default_rng(5).standard_normal(system.n_dof)
+        assert lu.solve(b).dtype == np.float64
 
     def test_nnz_counts_the_stored_factors(self, mixed_3x3):
         grid, reduced, riface = mixed_3x3
