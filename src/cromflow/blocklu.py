@@ -10,10 +10,11 @@ touches (its front) is one matrix product, scattered back as cell blocks.
 This is static condensation (Huynh, Knezevic & Patera, M2AN 47, 2013)
 applied level by level.
 
-The factorization runs in the precision of the blocks it is given: every
-gathered buffer, LAPACK call, Schur update and stored coupling keeps their
-dtype.  The reduced system factors its Newton matrix in float32 and refines
-the step in float64 (:func:`cromflow.fom.fgmres`).
+The factorization runs in one precision, by default that of the blocks it
+is given: every gathered buffer, LAPACK call, Schur update and stored
+coupling has that dtype.  The reduced system factors its float64 Newton
+matrix in float32 and refines the step in float64
+(:func:`cromflow.fom.fgmres`).
 """
 
 from __future__ import annotations
@@ -113,14 +114,16 @@ class BlockLU:
 
     ``groups`` lists the nodes of each pivot group in elimination order and
     covers every node once.  Pivoting is partial within each group.  The
-    factors have the dtype of the blocks (float32 or float64).  An exactly
-    singular pivot block raises ``RuntimeError``.
+    factors have ``dtype`` (float32 or float64), by default that of the
+    blocks; blocks of another dtype are rounded to it as they are gathered
+    or updated, never copied whole.  An exactly singular pivot block raises
+    ``RuntimeError``.
     """
 
-    def __init__(self, mat: CellBlockMatrix, groups):
+    def __init__(self, mat: CellBlockMatrix, groups, dtype=None):
         sizes = [len(rows) for rows in mat.nodes]
         blocks = dict(mat.blocks)  # remaining blocks; the matrix is not modified
-        self.dtype = np.result_type(*blocks.values())
+        self.dtype = np.result_type(*blocks.values()) if dtype is None else np.dtype(dtype)
         self._getrf, self._getrs = lapack.get_lapack_funcs(("getrf", "getrs"), dtype=self.dtype)
         adjacent = {}
         for i, j in blocks:
@@ -161,7 +164,9 @@ class BlockLU:
             for b, j in enumerate(front):
                 part = update[off[a] : off[a + 1], off[b] : off[b + 1]]
                 blk = blocks.get((i, j))
-                blocks[i, j] = -part if blk is None else blk - part
+                # a block not yet updated may still be in the matrix's dtype:
+                # round it to the factors' before subtracting
+                blocks[i, j] = -part if blk is None else np.subtract(blk, part, dtype=part.dtype)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``mat⁻¹ b``, eliminated in the factors' dtype, ``b`` rounded to it;

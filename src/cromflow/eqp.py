@@ -111,22 +111,27 @@ def build_manifest(
     ops: ComponentOperators, phi_u: np.ndarray, snapshots: SnapshotSet
 ) -> EqpManifest:
     """Assemble the EQP constraint matrix from basis columns and the
-    velocity snapshots of one component."""
+    velocity snapshots of one component.
+
+    G has one row per (snapshot, basis column) and one column per
+    quadrature point.  It is allocated once and each snapshot's rows are
+    written into it, so the scratch beside G is one snapshot's block.  It
+    is Fortran-ordered: ``d = G @ w_full`` and the NNLS products round
+    according to that layout, and the stored rules depend on their bits.
+    """
     U = snapshots.U
     vals, _ = ops.adv.basis_at_quad(phi_u)          # (n_pts, R, 2)
     w_full = ops.adv.quad_weights
     space = ops.space
     r = phi_u.shape[1]
     s_count = U.shape[1]
-    rows = []
+    G = np.empty((s_count * r, w_full.size), order="F")   # rows grouped (s, b)
     for s in range(s_count):
-        u = U[:, s]
-        loc = space.local_velocity(u)
+        loc = space.local_velocity(U[:, s])
         uq = np.einsum("qa,tac->tqc", space.p2v_q, loc).reshape(-1, 2)
         gq = np.einsum("tqad,tac->tqcd", space.p2g_q, loc).reshape(-1, 2, 2)
         aq = np.einsum("qd,qcd->qc", uq, gq)          # u . grad u per point
-        rows.append(np.einsum("qbc,qc->bq", vals, aq))
-    G = np.vstack(rows)                               # rows grouped (s, b)
+        G[s * r : (s + 1) * r] = np.einsum("qbc,qc->bq", vals, aq)
     d = G @ w_full
     return EqpManifest(
         component=snapshots.component,

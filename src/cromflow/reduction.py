@@ -27,6 +27,12 @@ from .weakforms import BoundaryLoadBuilder, ComponentOperators, InterfaceBlocks
 BASIS_MAGIC = b"CROMBAS3"
 TENSOR_MAGIC = b"CROMTEN2"
 
+# velocity modes j per slice of the advection tensor build.  At the default
+# 60 modes, 8 gives the bits of one product over all modes under
+# single-threaded OpenBLAS (1 and 15 do not); at some other sizes the last
+# slice's final columns round differently, by up to 3e-16 of the largest entry
+_TENSOR_SLICE = 8
+
 
 @dataclass
 class SnapshotSet:
@@ -287,15 +293,24 @@ def build_advection_tensor(ops: ComponentOperators, phi_u: np.ndarray) -> np.nda
 
     Quadrature-exact for the quadratic velocity space, so contracting the
     tensor reproduces the projected advection evaluation to roundoff.
+
+    Built ``_TENSOR_SLICE`` velocity modes j at a time: each slice forms the
+    point-wise products D[(q, c), (j, k)] for its j only and writes
+    C[:, j0:j1, :] = vwᵀ D into the preallocated result, so the scratch is
+    n_points · 2 · r · ``_TENSOR_SLICE`` doubles rather than n_points · 2 · r².
+    Slicing the output columns keeps every entry's sum over the points whole.
     """
     vals, grads = ops.adv.basis_at_quad(phi_u)
     w = ops.adv.quad_weights
-    # D[(q, c), (j, k)] = sum_d phi_j,d(q) * d_d phi_k,c(q)
-    d = np.einsum("qjd,qkcd->qcjk", vals, grads, optimize=True)
     r = phi_u.shape[1]
     vw = (w[:, None, None] * vals).transpose(0, 2, 1).reshape(-1, r)   # (q*c, i)
-    tensor = vw.T @ d.reshape(vw.shape[0], r * r)
-    return np.ascontiguousarray(tensor.reshape(r, r, r))
+    tensor = np.empty((r, r, r))
+    for j0 in range(0, r, _TENSOR_SLICE):
+        j1 = min(j0 + _TENSOR_SLICE, r)
+        # D[(q, c), (j, k)] = sum_d phi_j,d(q) * d_d phi_k,c(q)
+        d = np.einsum("qjd,qkcd->qcjk", vals[:, j0:j1], grads, optimize=True)
+        tensor[:, j0:j1, :] = (vw.T @ d.reshape(vw.shape[0], -1)).reshape(r, j1 - j0, r)
+    return tensor
 
 
 def _contract_last(tensor: np.ndarray, u_hat: np.ndarray):

@@ -167,10 +167,9 @@ class GlobalRomSystem(BlockSystem):
         return CellBlockMatrix(self.saddle.nodes, blocks)
 
     def factorize(self, mat: CellBlockMatrix, groups: list) -> BlockLU:
-        """Block LU of ``mat`` rounded to float32, by the pivot groups from
+        """Block LU of ``mat`` in float32, by the pivot groups from
         :meth:`start`; the Newton solve refines its steps in float64."""
-        blocks = {key: blk.astype(np.float32) for key, blk in mat.blocks.items()}
-        return BlockLU(CellBlockMatrix(mat.nodes, blocks), groups)
+        return BlockLU(mat, groups, np.float32)
 
     def divergence_sigma_min(self) -> float:
         """Smallest singular value of the assembled reduced B in l2 coordinates."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,25 @@ class TestManifest:
             ref = phi.T @ ops.adv.value(snaps.U[:, s])
             got = manifest.d[s * manifest.n_basis : (s + 1) * manifest.n_basis]
             assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_constraint_matrix_is_filled_in_place(self, setup):
+        space, ops, _, phi, _ = setup
+        # enough snapshots that G outweighs the per-snapshot scratch
+        rng = np.random.default_rng(4)
+        U = rng.standard_normal((space.n_u, 80))
+        snaps = SnapshotSet("empty", U, np.zeros((space.n_p, 80)))
+        tracemalloc.start()
+        try:
+            manifest = build_manifest(ops, phi, snaps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        G = manifest.G
+        assert G.shape == (80 * phi.shape[1], ops.adv.n_points)
+        # one G and one snapshot's rows, not the rows and G stacked from them
+        assert peak < 1.25 * G.nbytes
+        assert G.flags.f_contiguous
+        assert np.array_equal(manifest.d, G @ manifest.w_full)
 
     def test_zero_advection_snapshot(self, setup):
         space, ops, *_ = setup

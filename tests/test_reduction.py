@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from cromflow._binio import read_arrays, write_arrays
 from cromflow.femspace import TaylorHoodSpace
 from cromflow.geometry import ComponentMesh, generate_empty_mesh
 from cromflow.reduction import (
+    _TENSOR_SLICE,
     BASIS_MAGIC,
     PodBasis,
     SnapshotSet,
@@ -28,6 +31,15 @@ from cromflow.reduction import (
 from cromflow.weakforms import assemble_interface_blocks, build_component_operators
 
 NU = 0.04
+
+
+def one_shot_tensor(ops, phi):
+    """The advection tensor from the whole intermediate D[(q, c), (j, k)]."""
+    vals, grads = ops.adv.basis_at_quad(phi)
+    r = phi.shape[1]
+    d = np.einsum("qjd,qkcd->qcjk", vals, grads)
+    vw = (ops.adv.quad_weights[:, None, None] * vals).transpose(0, 2, 1).reshape(-1, r)
+    return (vw.T @ d.reshape(vw.shape[0], r * r)).reshape(r, r, r)
 
 
 def rewrite_arrays(path, magic, **arrays):
@@ -324,6 +336,34 @@ class TestAdvectionTensor:
             ref = phi.T @ ops.adv.value(phi @ uh)
             got = tensor_contract(t, uh)
             assert np.linalg.norm(got - ref) <= 1e-11 * max(np.linalg.norm(ref), 1e-12)
+
+    def test_slices_match_the_one_shot_tensor(self, ops, space):
+        # two whole slices and a partial third
+        r = 2 * _TENSOR_SLICE + 3
+        rng = np.random.default_rng(11)
+        phi = np.linalg.qr(rng.standard_normal((space.n_u, r)))[0]
+        t = build_advection_tensor(ops, phi)
+        ref = one_shot_tensor(ops, phi)
+        assert t.shape == (r, r, r) and t.flags.c_contiguous
+        assert np.abs(t - ref).max() <= 1e-14 * np.abs(ref).max()
+        for _ in range(5):
+            uh = rng.standard_normal(r)
+            ref = phi.T @ ops.adv.value(phi @ uh)
+            got = tensor_contract(t, uh)
+            assert np.linalg.norm(got - ref) <= 1e-11 * max(np.linalg.norm(ref), 1e-12)
+
+    def test_scratch_is_less_than_the_whole_intermediate(self, ops, space):
+        r = 4 * _TENSOR_SLICE
+        phi = np.linalg.qr(np.random.default_rng(12).standard_normal((space.n_u, r)))[0]
+        tracemalloc.start()
+        try:
+            build_advection_tensor(ops, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # D[(q, c), (j, k)] over all modes is n_points * 2 * r^2 doubles;
+        # forming it whole peaks at 2.2 times that, slice by slice at 0.7
+        assert peak < ops.adv.n_points * 2 * r * r * 8
 
     def test_quadratic_homogeneity_exact(self, ops, space):
         rng = np.random.default_rng(8)

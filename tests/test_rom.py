@@ -600,6 +600,27 @@ class TestBlockFactorization:
         b = np.random.default_rng(5).standard_normal(system.n_dof)
         assert lu.solve(b).dtype == np.float64
 
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    def test_float32_factors_match_factoring_a_float32_copy(self, mixed_3x3, backend):
+        grid, reduced, riface = mixed_3x3
+        system = assemble_global_rom(grid, reduced, riface, backend)
+        rng = np.random.default_rng(23)
+        mat = system.newton_matrix(system.advection_jacobian(5 * rng.standard_normal(system.n_u)))
+        groups = system.start()[1]
+        # the blocks are rounded as they are gathered or updated, as a
+        # float32 copy of the whole matrix would round them
+        lu = system.factorize(mat, groups)
+        blocks = {key: blk.astype(np.float32) for key, blk in mat.blocks.items()}
+        ref = BlockLU(CellBlockMatrix(mat.nodes, blocks), groups)
+        assert all(blk.dtype == np.float64 for blk in mat.blocks.values())
+        assert len(lu._steps) == len(ref._steps)
+        for step, ref_step in zip(lu._steps, ref._steps):
+            (factor, piv), *rest = step
+            (ref_factor, ref_piv), *ref_rest = ref_step
+            assert factor.dtype == np.float32
+            assert np.array_equal(factor, ref_factor) and np.array_equal(piv, ref_piv)
+            assert all(np.array_equal(a, b) for a, b in zip(rest, ref_rest))
+
     def test_nnz_counts_the_stored_factors(self, mixed_3x3):
         grid, reduced, riface = mixed_3x3
         system = assemble_global_rom(grid, reduced, riface)
