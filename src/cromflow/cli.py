@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _binio, fom, harness, reduction, rom
 from .eqp import save_rule
-from .reduction import check_rows, load_basis, save_basis, save_tensor
+from .reduction import check_rows, save_basis, save_tensor
 
 
 def _add_common(parser):
@@ -34,10 +34,7 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 # the config keys that shape the snapshot draws and solves; snapshots are
 # refused under others
-SNAPSHOT_CONFIG_KEYS = (
-    "n_per_side", "components", "reynolds", "train_samples", "seed", "newton_tol",
-    "newton_max_iter",
-)
+SNAPSHOT_CONFIG_KEYS = ("n_per_side", "components", "reynolds", "train_samples", "seed")
 
 
 def _snapshot_path(out_dir: Path, name: str) -> Path:
@@ -70,15 +67,14 @@ def _load_snapshots(out_dir: Path, cfg, parts) -> dict:
     return sets
 
 
-def _load_bases(out_dir: Path, cfg, parts) -> dict:
-    """Basis file of each component, its row counts checked against the component's space."""
-    bases = {}
-    for name in cfg.components:
-        path = out_dir / f"basis_{name}.bin"
-        basis = load_basis(path)
-        check_rows(path, name, parts.spaces[name], basis.n_u, basis.n_p)
-        bases[name] = basis
-    return bases
+def _load_trained(out_dir: Path, cfg, backends) -> harness.TrainedModel:
+    """What ``train`` (and ``train-eqp``) wrote to ``out_dir``: the full-order
+    component set of ``cfg``, the checked snapshots, and the reduced model of
+    :func:`rom.load_model` with ``backends``."""
+    parts = harness.build_component_set(cfg)
+    snapshots = _load_snapshots(out_dir, cfg, parts)
+    reduced, riface = rom.load_model(out_dir, cfg, backends)
+    return harness.TrainedModel(cfg, parts, snapshots, reduced, riface)
 
 
 def cmd_sample(args):
@@ -111,11 +107,10 @@ def cmd_train(args):
 
 def cmd_train_eqp(args):
     cfg = _load_config(args)
-    parts = harness.build_component_set(cfg)
-    bases = _load_bases(args.out_dir, cfg, parts)
-    snapshots = _load_snapshots(args.out_dir, cfg, parts)
+    model = _load_trained(args.out_dir, cfg, backends=())
     for name in cfg.components:
-        rule = harness.train_eqp_rule(parts.operators[name], bases[name], snapshots[name])
+        ops, basis = model.parts.operators[name], model.reduced[name].basis
+        rule = harness.train_eqp_rule(ops, basis, model.snapshots[name])
         save_rule(rule, args.out_dir / f"eqp_{name}.bin")
         print(f"{name}: {rule.n_points} points, residual {rule.residual:.3e} (eps {rule.eps:.3e})")
 
@@ -170,11 +165,8 @@ def cmd_study(args):
     # the full-order component set serves the FOM references; the sweeps
     # retrain per Z or R from the stored snapshots, and only the scaling
     # study reads the trained EQP rules
-    parts = harness.build_component_set(cfg)
-    snapshots = _load_snapshots(args.out_dir, cfg, parts)
     backends = (rom.TENSORIAL, rom.EQP) if args.which == "scaling" else (rom.TENSORIAL,)
-    reduced, riface = rom.load_model(args.out_dir, cfg, backends)
-    model = harness.TrainedModel(cfg, parts, snapshots, reduced, riface)
+    model = _load_trained(args.out_dir, cfg, backends)
     if args.which == "scaling":
         path = harness.run_scaling_study(model, args.out_dir)
     elif args.which == "supremizer":

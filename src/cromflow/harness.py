@@ -139,8 +139,9 @@ class ExperimentConfig:
     predict_sizes: tuple = (2, 4, 8)
     tests_per_size: int = 20
     seed: int = 0
-    newton_tol: float = 1e-8
-    newton_max_iter: int = 50
+    # the Newton controls of every solve: unannotated, so constants and not config keys
+    newton_tol = 1e-8
+    newton_max_iter = 50
 
     def __post_init__(self):
         for key, least in (("basis_size", 1), ("pressure_basis_size", 1), ("supremizer_size", 0)):
@@ -313,18 +314,12 @@ def train_eqp_rule(ops, basis, snapshots):
 # --- prediction studies -----------------------------------------------------
 
 
-def _solve_case(model: TrainedModel, grid: GridConfig, backends):
-    """One test case: FOM reference plus a ROM solve per requested backend.
-
-    The ``*_assembly_s`` and ``*_solve_s`` columns are the systems' own
-    assembly times and the solve reports' total wall times.
-    """
-    cfg = model.cfg
-    parts = model.parts
-    row = {}
+def _fom_reference(model: TrainedModel, grid: GridConfig):
+    """FOM reference of one test case: (system, u, p, its cells of the row)."""
+    cfg, parts = model.cfg, model.parts
     fom_sys = assemble_global(grid, parts.operators, parts.interface_blocks)
     u_f, p_f, rep_f = solve_newton(fom_sys, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter)
-    row.update(
+    row = dict(
         fom_dofs=fom_sys.n_dof,
         fom_converged=rep_f.converged,
         fom_iterations=rep_f.newton_iterations,
@@ -332,7 +327,19 @@ def _solve_case(model: TrainedModel, grid: GridConfig, backends):
         fom_assembly_s=fom_sys.assembly_time,
         fom_solve_s=rep_f.wall_times["total"],
     )
-    lifted = {}
+    return fom_sys, u_f, p_f, row
+
+
+def _solve_case(model: TrainedModel, grid: GridConfig, backends, reference=None):
+    """One test case: the cells of its :func:`_fom_reference` (solved here
+    unless given) plus a ROM solve per requested backend.
+
+    The ``*_assembly_s`` and ``*_solve_s`` columns are the systems' own
+    assembly times and the solve reports' total wall times.
+    """
+    cfg = model.cfg
+    fom_sys, u_f, p_f, fom_row = reference or _fom_reference(model, grid)
+    row, lifted = dict(fom_row), {}
     for backend in backends:
         rom_sys = assemble_global_rom(grid, model.reduced, model.reduced_interfaces, backend)
         uh, ph, rep_r = solve_rom_newton(
@@ -410,24 +417,28 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
 
     Each row also records ``B_sigma_min_l2``, the smallest singular value of
     the case's assembled reduced divergence matrix in l2 coordinates (the
-    reduced inf-sup diagnostic).
+    reduced inf-sup diagnostic).  Each case's FOM reference is solved once
+    for all Z.
     """
     cfg = model.cfg
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
     # the test set is fixed across Z so rows are comparable
     cases = _test_cases(cfg, np.random.default_rng(cfg.seed + 2), grid_size)
-    for z in z_values:
-        sub_cfg = replace(cfg, supremizer_size=z)
-        sub = train_model(sub_cfg, model.parts, model.snapshots, with_eqp=False)
-        for case, (grid, sample) in enumerate(cases):
+    subs = [
+        train_model(replace(cfg, supremizer_size=z), model.parts, model.snapshots, with_eqp=False)
+        for z in z_values
+    ]
+    rows = [[] for _ in z_values]
+    for case, (grid, sample) in enumerate(cases):
+        reference = _fom_reference(model, grid)
+        for z, sub, z_rows in zip(z_values, subs, rows):
             row = {"Z": z, "case": case, **sample.as_row()}
-            row.update(_solve_case(sub, grid, (TENSORIAL,)))
+            row.update(_solve_case(sub, grid, (TENSORIAL,), reference))
             row["B_sigma_min_l2"] = assemble_global_rom(
                 grid, sub.reduced, sub.reduced_interfaces
             ).divergence_sigma_min()
-            rows.append(row)
+            z_rows.append(row)
             log.info(
                 "ablation Z=%d case %d: vel %.3e pres %.3e sigma_min(B) %.2e",
                 z,
@@ -437,7 +448,7 @@ def run_supremizer_ablation(model: TrainedModel, out_dir, z_values, grid_size=4)
                 row["B_sigma_min_l2"],
             )
     path = out_dir / "supremizer.csv"
-    _write_csv(path, rows)
+    _write_csv(path, [row for z_rows in rows for row in z_rows])
     return path
 
 
@@ -445,29 +456,32 @@ def run_backend_comparison(model: TrainedModel, out_dir, r_values, grid_size=4) 
     """Tensorial vs EQP at several basis sizes on identical test sets; one
     row per (R, test case), written to ``backend.csv`` in ``out_dir``.
 
-    Bases are retrained by truncating the stored snapshots at each R.
+    Bases are retrained by truncating the stored snapshots at each R.  Each
+    case's FOM reference is solved once for all R.
     """
     cfg = model.cfg
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cases = _test_cases(cfg, np.random.default_rng(cfg.seed + 3), grid_size)
-    rows = []
-    for r in r_values:
-        sub_cfg = replace(cfg, basis_size=r, pressure_basis_size=r, supremizer_size=r)
-        sub = train_model(sub_cfg, model.parts, model.snapshots)
-        for case, (grid, sample) in enumerate(cases):
+    subs = [
+        train_model(
+            replace(cfg, basis_size=r, pressure_basis_size=r, supremizer_size=r),
+            model.parts,
+            model.snapshots,
+        )
+        for r in r_values
+    ]
+    rows = [[] for _ in r_values]
+    for case, (grid, sample) in enumerate(cases):
+        reference = _fom_reference(model, grid)
+        for r, sub, r_rows in zip(r_values, subs, rows):
             row = {"R": r, "case": case, **sample.as_row()}
             row["eqp_points"] = ";".join(
                 str(sub.reduced[name].eqp_rule.n_points) for name in cfg.components
             )
-            row.update(_solve_case(sub, grid, (TENSORIAL, EQP)))
-            rows.append(row)
-            log.info(
-                "backend R=%d case %d: diff %.3e",
-                r,
-                case,
-                row["backend_vel_diff"],
-            )
+            row.update(_solve_case(sub, grid, (TENSORIAL, EQP), reference))
+            r_rows.append(row)
+            log.info("backend R=%d case %d: diff %.3e", r, case, row["backend_vel_diff"])
     path = out_dir / "backend.csv"
-    _write_csv(path, rows)
+    _write_csv(path, [row for r_rows in rows for row in r_rows])
     return path

@@ -224,12 +224,6 @@ class ReducedComponentOperators:
         return self.B.shape[0]
 
 
-@dataclass
-class ReducedInterfaceBlocks:
-    K: dict                             # "mm".."nn" -> dense
-    B: dict
-
-
 def project_component(ops: ComponentOperators, basis: PodBasis) -> ReducedComponentOperators:
     pu, pp = basis.phi_u, basis.phi_p
     K_di = {t: pu.T @ (m @ pu) for t, m in ops.K_di.items()}
@@ -253,7 +247,7 @@ def project_component(ops: ComponentOperators, basis: PodBasis) -> ReducedCompon
 
 def project_interface(
     blocks: InterfaceBlocks, basis_m: PodBasis, basis_n: PodBasis
-) -> ReducedInterfaceBlocks:
+) -> InterfaceBlocks:
     pu = {"m": basis_m.phi_u, "n": basis_n.phi_u}
     pp = {"m": basis_m.phi_p, "n": basis_n.phi_p}
     K = {
@@ -266,7 +260,7 @@ def project_interface(
         for s in ("m", "n")
         for t in ("m", "n")
     }
-    return ReducedInterfaceBlocks(K=K, B=B)
+    return InterfaceBlocks(K=K, B=B)
 
 
 def project_linear(

@@ -45,12 +45,11 @@ from .fom import saddle_lu  # noqa: F401  not called: perfbench/tracing.py wraps
 from .geometry import SIDES, GridConfig
 from .reduction import (
     ReducedComponentOperators,
-    ReducedInterfaceBlocks,
     basis_checksum,
     tensor_contract,
     tensor_jacobian,
 )
-from .weakforms import BoundaryLoadBuilder
+from .weakforms import BoundaryLoadBuilder, InterfaceBlocks
 
 ROM_SOLUTION_MAGIC = b"CROMRSOL2"
 MODEL_MAGIC = b"CROMROM2"
@@ -179,12 +178,11 @@ class GlobalRomSystem(BlockSystem):
 
 @dataclass
 class LiftedSolution:
-    """Full-order fields lifted subdomain-wise from reduced coordinates."""
+    """Full-order fields lifted subdomain-wise from reduced coordinates, laid
+    out like the FOM system of the same grid."""
 
     u: np.ndarray
     p: np.ndarray
-    off_u: np.ndarray
-    off_p: np.ndarray
 
 
 def assemble_global_rom(
@@ -195,9 +193,9 @@ def assemble_global_rom(
 ) -> GlobalRomSystem:
     """Reduced global system from the projected component blocks.
 
-    ``reduced_interfaces`` maps (ref_m, ref_n, orientation) to
-    :class:`ReducedInterfaceBlocks`.  A grid with a body force is refused:
-    the reduced blocks hold boundary loads only.
+    ``reduced_interfaces`` maps (ref_m, ref_n, orientation) to the dense
+    projected :class:`~cromflow.weakforms.InterfaceBlocks`.  A grid with a
+    body force is refused: the reduced blocks hold boundary loads only.
     """
     if backend not in (TENSORIAL, EQP):
         raise ValueError(f"unknown advection backend {backend!r}")
@@ -238,31 +236,23 @@ def assemble_global_rom(
 
 def lift(system: GlobalRomSystem, u_hat: np.ndarray, p_hat: np.ndarray) -> LiftedSolution:
     """Lift to full-order fields, laid out like the matching FOM system."""
-    u = np.zeros(system.fom_off_u[-1])
-    p = np.zeros(system.fom_off_p[-1])
+    ou, op = system.fom_off_u, system.fom_off_p
+    u, p = np.zeros(ou[-1]), np.zeros(op[-1])
     for m in range(system.grid.n_subdomains):
-        red = system.local_of(m)
-        u[system.fom_off_u[m] : system.fom_off_u[m + 1]] = red.basis.phi_u @ u_hat[
-            system.slice_u(m)
-        ]
-        p[system.fom_off_p[m] : system.fom_off_p[m + 1]] = red.basis.phi_p @ p_hat[
-            system.slice_p(m)
-        ]
-    return LiftedSolution(u=u, p=p, off_u=system.fom_off_u, off_p=system.fom_off_p)
+        basis = system.local_of(m).basis
+        u[ou[m] : ou[m + 1]] = basis.phi_u @ u_hat[system.slice_u(m)]
+        p[op[m] : op[m + 1]] = basis.phi_p @ p_hat[system.slice_p(m)]
+    return LiftedSolution(u=u, p=p)
 
 
 def project_state(system: GlobalRomSystem, u: np.ndarray, p: np.ndarray):
     """Best-approximation reduced coordinates of a full-order state."""
-    u_hat = np.zeros(system.n_u)
-    p_hat = np.zeros(system.n_p)
+    ou, op = system.fom_off_u, system.fom_off_p
+    u_hat, p_hat = np.zeros(system.n_u), np.zeros(system.n_p)
     for m in range(system.grid.n_subdomains):
-        red = system.local_of(m)
-        u_hat[system.slice_u(m)] = red.basis.phi_u.T @ u[
-            system.fom_off_u[m] : system.fom_off_u[m + 1]
-        ]
-        p_hat[system.slice_p(m)] = red.basis.phi_p.T @ p[
-            system.fom_off_p[m] : system.fom_off_p[m + 1]
-        ]
+        basis = system.local_of(m).basis
+        u_hat[system.slice_u(m)] = basis.phi_u.T @ u[ou[m] : ou[m + 1]]
+        p_hat[system.slice_p(m)] = basis.phi_p.T @ p[op[m] : op[m + 1]]
     return u_hat, p_hat
 
 
@@ -272,16 +262,22 @@ def relative_errors(
     p_fom: np.ndarray,
     lifted: LiftedSolution,
 ) -> dict:
-    """Global relative L2 field errors of a lifted solution against a FOM one."""
+    """Global relative L2 field errors of a lifted solution against a FOM one,
+    both laid out like ``fom_system``; a lifted state of another length is
+    refused with ``ValueError``."""
+    if (len(lifted.u), len(lifted.p)) != (fom_system.n_u, fom_system.n_p):
+        raise ValueError(
+            f"lifted state of {len(lifted.u)} velocity and {len(lifted.p)} pressure dofs;"
+            f" the FOM system has {fom_system.n_u} and {fom_system.n_p}"
+        )
     eu2 = nu2 = ep2 = np2 = 0.0
     for m in range(fom_system.grid.n_subdomains):
         space = fom_system.local_of(m).space
-        du = u_fom[fom_system.slice_u(m)] - lifted.u[lifted.off_u[m] : lifted.off_u[m + 1]]
-        dp = p_fom[fom_system.slice_p(m)] - lifted.p[lifted.off_p[m] : lifted.off_p[m + 1]]
-        eu2 += space.velocity_l2(du) ** 2
-        ep2 += space.pressure_l2(dp) ** 2
-        nu2 += space.velocity_l2(u_fom[fom_system.slice_u(m)]) ** 2
-        np2 += space.pressure_l2(p_fom[fom_system.slice_p(m)]) ** 2
+        su, sp = fom_system.slice_u(m), fom_system.slice_p(m)
+        eu2 += space.velocity_l2(u_fom[su] - lifted.u[su]) ** 2
+        ep2 += space.pressure_l2(p_fom[sp] - lifted.p[sp]) ** 2
+        nu2 += space.velocity_l2(u_fom[su]) ** 2
+        np2 += space.pressure_l2(p_fom[sp]) ** 2
     return {
         "velocity_rel_l2": float(np.sqrt(eu2 / max(nu2, 1e-300))),
         "pressure_rel_l2": float(np.sqrt(ep2 / max(np2, 1e-300))),
@@ -444,7 +440,7 @@ def read_model(path):
         for name in names
     }
     interfaces = {
-        key: ReducedInterfaceBlocks(
+        key: InterfaceBlocks(
             K={st: arrays[_block_name(key, "K", st)] for st in _BLOCK_KEYS},
             B={st: arrays[_block_name(key, "B", st)] for st in _BLOCK_KEYS},
         )

@@ -364,10 +364,11 @@ def build_component_operators(space: TaylorHoodSpace, nu: float) -> ComponentOpe
 
 @dataclass
 class InterfaceBlocks:
-    """Coupling blocks of one (component, component, orientation) configuration."""
+    """Coupling blocks of one (component, component, orientation) configuration:
+    sparse at full order, dense once projected onto reduced bases."""
 
-    K: dict                        # ("mm"|"mn"|"nm"|"nn") -> coo (n_u_i, n_u_j)
-    B: dict                        # same keys -> coo (n_p_i, n_u_j)
+    K: dict                        # ("mm"|"mn"|"nm"|"nn") -> coo or dense (n_u_i, n_u_j)
+    B: dict                        # same keys -> coo or dense (n_p_i, n_u_j)
 
 
 def assemble_interface_blocks(

@@ -23,7 +23,6 @@ from cromflow.reduction import (
     TENSOR_MAGIC,
     PodBasis,
     ReducedComponentOperators,
-    ReducedInterfaceBlocks,
     basis_checksum,
     load_basis,
     load_tensor,
@@ -39,7 +38,7 @@ from cromflow.rom import (
     save_model,
     save_rom_solution,
 )
-from cromflow.weakforms import BoundaryLoadBuilder
+from cromflow.weakforms import BoundaryLoadBuilder, InterfaceBlocks
 
 FUZZ = settings(max_examples=60, deadline=None)
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])
@@ -105,7 +104,7 @@ def make_model(rng, name):
         K_di, B_di, loads, rng.standard_normal(r_p),
     )
     interfaces = {
-        (name, name, o): ReducedInterfaceBlocks(
+        (name, name, o): InterfaceBlocks(
             K={st: rng.standard_normal((r_u, r_u)) for st in ("mm", "mn", "nm", "nn")},
             B={st: rng.standard_normal((r_p, r_u)) for st in ("mm", "mn", "nm", "nn")},
         )

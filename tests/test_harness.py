@@ -190,6 +190,8 @@ class TestConfig:
             "eqp_tol",
             "train_rows",
             "train_cols",
+            "newton_tol",
+            "newton_max_iter",
         ],
     )
     def test_removed_config_key_rejected(self, tmp_path, key):
@@ -292,6 +294,27 @@ class TestStudies:
         for row in rows:
             assert "backend_vel_diff" in row
             assert "eqp_points" in row
+
+    def test_sweeps_solve_each_fom_reference_once(self, tiny_model, tmp_path, monkeypatch):
+        from cromflow import harness
+
+        calls = []
+
+        def counted(grid, *args, **kwargs):
+            calls.append(grid)
+            return fom.assemble_global(grid, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "assemble_global", counted)
+        cases = TINY["tests_per_size"]
+        path = run_supremizer_ablation(tiny_model, tmp_path / "sup", (0, 4, 8), grid_size=2)
+        assert len(calls) == cases and len(read_csv(path)) == 3 * cases
+        path = run_backend_comparison(tiny_model, tmp_path / "cmp", (6, 8), grid_size=2)
+        assert len(calls) == 2 * cases
+        rows = read_csv(path)
+        # rows stay in (R, case) order, and each case's FOM cells are shared
+        order = [("6", "0"), ("6", "1"), ("8", "0"), ("8", "1")]
+        assert [(r["R"], r["case"]) for r in rows] == order
+        assert rows[0]["fom_residual"] == rows[2]["fom_residual"]
 
 
 class TestSelfConsistency:
@@ -532,8 +555,10 @@ class TestCli:
         coarse = TaylorHoodSpace(generate_empty_mesh(4))
         fine = TaylorHoodSpace(generate_empty_mesh(8))
         common = ["--config", str(paths[8]), "--out-dir", str(out)]
+        # train-eqp reads the trained directory as study does: the snapshots,
+        # checked against the config's spaces, come first
         expected = (
-            rf"basis_empty\.bin: component 'empty' expects {fine.n_u} velocity and "
+            rf"snapshots_empty\.bin: component 'empty' expects {fine.n_u} velocity and "
             rf"{fine.n_p} pressure rows, found {coarse.n_u} and {coarse.n_p}"
         )
         with pytest.raises(FormatError, match=expected):
@@ -673,6 +698,44 @@ class TestStoredModel:
             r".*; run sample again",
         ):
             main(["train", *common])
+
+    def test_snapshots_of_the_old_seven_keys_rejected(self, tiny_artifacts, tmp_path):
+        from cromflow import _binio
+        from cromflow.cli import main
+        from cromflow.fom import load_solution, save_solution
+
+        out, common = copy_artifacts(tiny_artifacts, tmp_path)
+        # snapshot files once also stored the Newton controls
+        snapshots = out / "snapshots_empty.bin"
+        data = load_solution(snapshots)
+        config = json.loads(_binio.array_text(data["config"]))
+        config.update(newton_tol=1e-8, newton_max_iter=50)
+        data["config"] = _binio.text_array(json.dumps(config))
+        save_solution(snapshots, data.pop("u"), data.pop("p"), data)
+        with pytest.raises(
+            _binio.FormatError,
+            match=r"snapshots_empty\.bin: stores the config key 'newton_max_iter'"
+            r".*; run sample again",
+        ):
+            main(["train", *common])
+
+    def test_train_eqp_refuses_a_model_of_another_basis_size(
+        self, tiny_artifacts, tmp_path, monkeypatch
+    ):
+        from cromflow import harness
+        from cromflow._binio import FormatError
+        from cromflow.cli import main
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train-eqp trained a rule on a stale model")
+
+        monkeypatch.setattr(harness, "train_eqp_rule", forbidden)
+        out, _ = copy_artifacts(tiny_artifacts, tmp_path)
+        argv = ["--config", str(tiny_cli_config(tmp_path, basis_size=4)), "--out-dir", str(out)]
+        with pytest.raises(
+            FormatError, match=r"reduced_model\.bin: trained with basis_size=5, the config has 4"
+        ):
+            main(["train-eqp", *argv])
 
     def test_artifacts_of_a_replaced_basis_rejected(self, tiny_artifacts, tmp_path):
         from cromflow._binio import FormatError

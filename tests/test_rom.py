@@ -686,7 +686,7 @@ class TestErrors:
         rom_sys = assemble_global_rom(grid, reduced, riface)
         from cromflow.rom import LiftedSolution
 
-        lifted = LiftedSolution(u.copy(), p.copy(), rom_sys.fom_off_u, rom_sys.fom_off_p)
+        lifted = LiftedSolution(u.copy(), p.copy())
         errs = relative_errors(fom_sys, u, p, lifted)
         assert errs["velocity_rel_l2"] == 0.0
         assert errs["pressure_rel_l2"] == 0.0
@@ -702,10 +702,21 @@ class TestErrors:
         reduced, riface = project_linear(ops, blocks, {"empty": basis})
         reduced["empty"].tensor = build_advection_tensor(ops["empty"], basis.phi_u)
         rom_sys = assemble_global_rom(grid, reduced, riface)
-        lifted = LiftedSolution(1.01 * u, 1.01 * p, rom_sys.fom_off_u, rom_sys.fom_off_p)
+        lifted = LiftedSolution(1.01 * u, 1.01 * p)
         errs = relative_errors(fom_sys, u, p, lifted)
         assert errs["velocity_rel_l2"] == pytest.approx(0.01, rel=1e-9)
         assert errs["pressure_rel_l2"] == pytest.approx(0.01, rel=1e-9)
+
+    def test_lifted_state_of_another_length_rejected(self, parts):
+        from cromflow.rom import LiftedSolution
+
+        _, ops, blocks = parts
+        grid = GridConfig(1, 1, [["empty"]], NU, channel_bc())
+        fom_sys = assemble_global(grid, ops, blocks)
+        u, p = np.ones(fom_sys.n_u), np.ones(fom_sys.n_p)
+        for lifted in (LiftedSolution(u[:-1], p), LiftedSolution(u, np.ones(fom_sys.n_p + 2))):
+            with pytest.raises(ValueError, match="lifted state of .* the FOM system has"):
+                relative_errors(fom_sys, u, p, lifted)
 
 
 class TestDims:
