@@ -15,10 +15,11 @@ direct factorization of that matrix in that order.  A system is not changed
 by a solve, so two solves on one system give the same numbers.  Every step
 solves its matrix by one flexible GMRES cycle right-preconditioned by the
 latest factorization (:func:`fgmres`), which refines a factorization in
-lower precision, the reduced system's float32 block LU, to float64.  Once
-Newton contracts fast, a step tries the factorization of an earlier step
-before it factors its own (inexact Newton, Eisenstat & Walker, SISC 17,
-1996, with a frozen preconditioner, Knoll & Keyes, JCP 193, 2004).  The
+lower precision, the reduced system's float32 block LU, to float64, and
+stops at the step's forcing term (inexact Newton, Eisenstat & Walker,
+SISC 17, 1996).  Where the residual fell fast enough for the system's
+rule, a step tries the factorization of an earlier step before it factors
+its own (a frozen preconditioner, Knoll & Keyes, JCP 193, 2004).  The
 full-order system factors in float64 (SuperLU), so a step on its own LU
 takes one iteration.  The full-order system starts from a Stokes solve;
 the Stokes matrix and every Newton matrix share one sparse pattern, built
@@ -50,17 +51,18 @@ _SIDE_OF_CELL = {
     "T": lambda col, row, grid: row == grid.rows - 1,
 }
 
-# a Newton step reuses the latest LU when the step before it cut the
-# residual norm below this fraction of the one before
-_REUSE_BELOW = 0.1
 # every Newton step is one flexible GMRES cycle of at most this many
-# iterations, right-preconditioned by the latest LU, which must bring the
-# linear residual below this fraction of the Newton target; a target below
-# the floor fraction of the residual norm, which float64 cannot resolve, is
-# raised to it
+# iterations, right-preconditioned by the latest LU; its linear target, the
+# step's forcing term times the residual norm, is raised to this fraction
+# of the Newton target, and to the floor fraction of the residual norm,
+# below which float64 cannot resolve
 _GMRES_RESTART = 30
 _GMRES_TOL = 1e-3
 _GMRES_FLOOR = 1e-13
+# forcing terms (Eisenstat & Walker, SISC 17, 1996, choice 2): the first
+# step's and the largest, and the factor on the squared residual ratio
+_FORCING_MAX = 0.5
+_FORCING_GAMMA = 0.9
 
 
 def saddle_lu(mat, permc_spec: str = "COLAMD"):
@@ -90,6 +92,11 @@ class SolveReport:
     # LU adds its count to the iterations on the step's own LU)
     reused_lu: list
     gmres_iterations: list
+    # one per iteration: the linear residual norm FGMRES solved the step to
+    # (the forcing term times the residual norm, at most half the Newton
+    # target once that falls below it, never below the floors of
+    # :func:`solve_newton`)
+    linear_targets: list
     # seconds: assembly; the Newton phases jacobian (advection Jacobian),
     # saddle (the Newton matrix: the linear saddle blocks plus the Jacobian),
     # factorization (LU, and the start state: the full-order Stokes solve),
@@ -120,9 +127,14 @@ class BlockSystem:
     system), and supply the advection term, the Newton matrix, ``start()``,
     which returns the start state and the elimination order of a solve, and
     ``factorize(mat, order)``, the factorization of a Newton matrix in that
-    order.  Neither changes the system.  ``local`` maps component names to
-    the blocks the system was placed from.
+    order.  Neither changes the system.  ``reuse_below`` says when a Newton
+    step tries the latest factorization before it factors its own: where
+    the step before cut the residual norm below that fraction of the one
+    before.  ``local`` maps component names to the blocks the system was
+    placed from.
     """
+
+    reuse_below: ClassVar[float]
 
     grid: GridConfig
     local: Mapping                      # component name -> its operators
@@ -357,6 +369,18 @@ def fgmres(mat, lu, b: np.ndarray, atol: float):
         basis.append(w / norm_w)
 
 
+def _forcing_term(eta: float, res: float, res_prev: float) -> float:
+    """Eisenstat & Walker's choice 2 forcing term of a step from the one
+    before, ``eta``, and the last two residual norms, at most
+    ``_FORCING_MAX``; their safeguard keeps it from falling below
+    γ·eta² where that exceeds 0.1."""
+    eta_next = _FORCING_GAMMA * (res / res_prev) ** 2
+    floor = _FORCING_GAMMA * eta**2
+    if floor > 0.1:
+        eta_next = max(eta_next, floor)
+    return min(_FORCING_MAX, eta_next)
+
+
 def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
     """Newton-Raphson on a block system from its start state.
 
@@ -366,12 +390,16 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
     step asks the system for its Newton matrix
     (``newton_matrix(advection_jacobian(u))``) and solves it by one
     :func:`fgmres` cycle right-preconditioned by the latest factorization
-    (``factorize(mat, order)``), to ``_GMRES_TOL`` of the Newton target
-    (never below ``_GMRES_FLOOR`` of the residual norm).  That LU is kept:
-    once the previous step cut the residual norm below ``_REUSE_BELOW`` of
-    the one before, a step tries it first.  Otherwise, or where the cycle
-    falls short, the step drops the old LU, factors its own matrix and runs
-    the cycle on it.  A failed start or a singular factorization
+    (``factorize(mat, order)``).  Step k solves to its forcing term η_k
+    times the residual norm: η_0 = ``_FORCING_MAX``, then
+    :func:`_forcing_term`; once that falls below the Newton target, to at
+    most half the target, so the last step lands below it; and never below
+    ``_GMRES_TOL`` of the target nor ``_GMRES_FLOOR`` of the residual norm
+    (``SolveReport.linear_targets``).  The LU is kept: where the previous
+    step cut the residual norm below ``system.reuse_below`` of the one
+    before, a step tries it first.  Otherwise, or where the cycle falls
+    short, the step drops the old LU, factors its own matrix and runs the
+    cycle on it.  A failed start or a singular factorization
     (``RuntimeError``), a cycle that falls short on a fresh factorization, a
     non-finite residual or ``max_iter`` steps without reaching the
     tolerance end the solve with a non-converged report whose ``message``
@@ -389,13 +417,16 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
     with _timed(times, "residual"):
         r = system.residual(x)
     history = [float(np.linalg.norm(r))]
-    step_norms, fill_nnz, reused_lu, gmres_iterations = [], [], [], []
+    step_norms, fill_nnz, reused_lu, gmres_iterations, linear_targets = [], [], [], [], []
     target = max(tol_rel * history[0], tol_abs)
     converged = not message and history[0] <= target
     lu = None  # the latest factorization; at most one is alive
+    eta = _FORCING_MAX
     it = 0
     while not (converged or message) and it < max_iter:
-        if lu is not None and history[-1] >= _REUSE_BELOW * history[-2]:
+        if it:
+            eta = _forcing_term(eta, history[-1], history[-2])
+        if lu is not None and history[-1] >= system.reuse_below * history[-2]:
             lu = None  # this step factors: the old LU goes before its matrix is built
         u, _ = system._split(x)
         with _timed(times, "jacobian"):
@@ -403,7 +434,10 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
         with _timed(times, "saddle"):
             jac = system.newton_matrix(adv)
         step, iterations = None, 0
-        atol = max(_GMRES_TOL * target, _GMRES_FLOOR * history[-1])
+        forcing = eta * history[-1]
+        if 0.5 * target < forcing < target:
+            forcing = 0.5 * target
+        atol = max(forcing, _GMRES_TOL * target, _GMRES_FLOOR * history[-1])
         if lu is not None:
             with _timed(times, "solve"):
                 step, iterations, _ = fgmres(jac, lu, -r, atol)
@@ -428,6 +462,7 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
             x = x + step
         reused_lu.append(reused)
         gmres_iterations.append(iterations)
+        linear_targets.append(atol)
         step_norms.append(float(np.linalg.norm(step)))
         with _timed(times, "residual"):
             r = system.residual(x)
@@ -448,6 +483,7 @@ def solve_newton(system: BlockSystem, tol_rel=1e-8, tol_abs=1e-10, max_iter=50):
         fill_nnz=fill_nnz,
         reused_lu=reused_lu,
         gmres_iterations=gmres_iterations,
+        linear_targets=linear_targets,
         wall_times={
             "assembly": system.assembly_time,
             **times,
@@ -488,6 +524,10 @@ class GlobalFomSystem(BlockSystem):
     """
 
     block_sink: ClassVar = _TripletSink
+    # a float64 SuperLU factorization costs about 20 FGMRES iterations on a
+    # kept LU (2x2 arrays), so a step tries the kept LU whenever the
+    # residual fell
+    reuse_below: ClassVar[float] = 1.0
 
     @cached_property
     def _value_map(self) -> np.ndarray:

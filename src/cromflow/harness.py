@@ -235,11 +235,14 @@ def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
     rng = np.random.default_rng(cfg.seed)
     rows, cols = TRAIN_SHAPE
     columns = {name: ([], []) for name in cfg.components}
-    skipped = 0
+    skipped = steps = factorizations = gmres_iterations = 0
     for i in range(cfg.train_samples):
         grid, _ = random_grid(rng, rows, cols, cfg)
         system = assemble_global(grid, parts.operators, parts.interface_blocks)
         u, p, report = solve_newton(system, tol_rel=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+        steps += report.newton_iterations
+        factorizations += len(report.fill_nnz)
+        gmres_iterations += sum(report.gmres_iterations)
         if not report.converged:
             log.warning("training sample %d skipped: %s", i, report.message)
             skipped += 1
@@ -258,10 +261,14 @@ def generate_snapshots(cfg: ExperimentConfig, parts: ComponentSet):
             np.column_stack([np.zeros((space.n_p, 0)), *ps]),
         )
     log.info(
-        "snapshot generation: %d samples (%d skipped) in %.1fs",
+        "snapshot generation: %d samples (%d skipped) in %.1fs; "
+        "%d Newton steps, %d factorizations, %d FGMRES iterations",
         cfg.train_samples,
         skipped,
         time.perf_counter() - t0,
+        steps,
+        factorizations,
+        gmres_iterations,
     )
     return sets, skipped
 

@@ -119,6 +119,9 @@ class GlobalRomSystem(BlockSystem):
     """Reduced block system of :class:`ReducedComponentOperators`."""
 
     block_sink: ClassVar = _CellBlockSink
+    # a float32 block LU costs about 5 FGMRES iterations on a kept LU (2x2
+    # arrays), so a step tries the kept LU only after a 10x cut
+    reuse_below: ClassVar[float] = 0.1
 
     backend: str
     fom_off_u: np.ndarray

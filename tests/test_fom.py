@@ -33,7 +33,16 @@ from cromflow.weakforms import (
     build_component_operators,
 )
 
-from test_rom import assert_same_solve, fail_on_kept_lu, random_basis, route_kept_lu
+from test_rom import (
+    assert_forcing_targets,
+    assert_same_solve,
+    exact_newton,
+    fail_on_kept_lu,
+    random_basis,
+    record_kept_lu,
+    route_kept_lu,
+    steps_after_a_cut,
+)
 
 NU = 0.04
 
@@ -567,44 +576,72 @@ class TestLuReuse:
     def test_reuse_matches_refactoring_every_step(self, mixed_parts, monkeypatch):
         ops, blocks = mixed_parts
         grid = mixed_3x3_grid(True)
-        refuse_a_second_live_lu(monkeypatch)
-        u, p, report = solve_newton(assemble_global(grid, ops, blocks))
-        route_kept_lu(monkeypatch, fail_on_kept_lu)
+        with monkeypatch.context() as m:
+            refuse_a_second_live_lu(m)
+            tried = record_kept_lu(m)
+            u, p, report = solve_newton(assemble_global(grid, ops, blocks))
+        # the reference factors every step and solves it to the tight target
+        exact_newton(monkeypatch, fom.GlobalFomSystem)
         u_ref, p_ref, ref = solve_newton(assemble_global(grid, ops, blocks))
         assert report.converged and ref.converged
-        assert report.newton_iterations == ref.newton_iterations
+        # both land below the Newton target (tol_rel 1e-8 of the same start
+        # residual), so their states agree to tol_rel
+        assert report.residual_history[0] == ref.residual_history[0]
+        target = 1e-8 * ref.residual_history[0]
+        assert report.residual_history[-1] <= target and ref.residual_history[-1] <= target
         x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
-        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-        assert any(report.reused_lu) and not any(ref.reused_lu)
-        assert len(report.fill_nnz) < len(ref.fill_nnz) == ref.newton_iterations
-        assert len(report.fill_nnz) == report.newton_iterations - sum(report.reused_lu)
-        # every step ran FGMRES; on its own exact LU a step takes one iteration
-        assert all(k >= 1 for k in report.gmres_iterations)
-        assert [k for k, reused in zip(report.gmres_iterations, report.reused_lu) if not reused] == [
-            1
-        ] * len(report.fill_nnz)
+        assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+        # every step after a decrease tried the kept LU, and it solved each;
+        # that includes steps after a cut by less than 10x, which the
+        # reduced system factors
+        hist, n = report.residual_history, report.newton_iterations
+        attempts = steps_after_a_cut(hist, 1.0)
+        assert tried == [hist[k] for k in attempts]
+        assert set(attempts) - set(steps_after_a_cut(hist, 0.1))
+        assert report.reused_lu == [k in attempts for k in range(n)]
+        assert len(report.fill_nnz) == n - sum(report.reused_lu) < len(ref.fill_nnz)
+        # on its own exact LU a step takes one iteration; on a kept one at
+        # least one, within the cycle
+        for reused, k in zip(report.reused_lu, report.gmres_iterations, strict=True):
+            assert 1 <= k <= fom._GMRES_RESTART if reused else k == 1
+        assert not any(ref.reused_lu) and len(ref.fill_nnz) == ref.newton_iterations
         assert ref.gmres_iterations == [1] * ref.newton_iterations
 
     def test_gmres_failure_refactors_on_the_same_step(self, mixed_parts, monkeypatch):
         ops, blocks = mixed_parts
         grid = mixed_3x3_grid(True)
-        _, _, report = solve_newton(assemble_global(grid, ops, blocks))
+        with monkeypatch.context() as m:  # every step factors
+            m.setattr(fom.GlobalFomSystem, "reuse_below", 0.0)
+            ref = solve_newton(assemble_global(grid, ops, blocks))
+        tried = []
 
         def short(fgmres, mat, lu, b, atol, *args):  # iterates, then reports failure
             _, iterations, res = fgmres(mat, lu, b, atol, *args)
+            tried.append((float(np.linalg.norm(b)), iterations))
             return None, iterations, res
 
         route_kept_lu(monkeypatch, short)
         refuse_a_second_live_lu(monkeypatch)
-        _, _, failed = solve_newton(assemble_global(grid, ops, blocks))
-        assert failed.converged and failed.newton_iterations == report.newton_iterations
-        assert not any(failed.reused_lu)
-        # every step factors, a failed attempt's included
-        assert len(failed.fill_nnz) == failed.newton_iterations
-        # the attempts' iterations add to the one on the step's own LU, where
-        # the kept LU was tried
-        assert [k > 1 for k in failed.gmres_iterations] == report.reused_lu
-        assert all(k >= 1 for k in failed.gmres_iterations)
+        failed = solve_newton(assemble_global(grid, ops, blocks))
+        report = failed[2]
+        assert report.converged and not any(report.reused_lu)
+        # a failed attempt leaves no trace but its iterations: the step
+        # factors its own matrix and solves as if it had not tried
+        for a, b in zip(failed[:2], ref[:2], strict=True):
+            assert np.array_equal(a, b)
+        for key in ("residual_history", "step_norms", "fill_nnz", "linear_targets"):
+            assert getattr(report, key) == getattr(ref[2], key), key
+        assert len(report.fill_nnz) == report.newton_iterations
+        # the kept LU was tried on every step after a decrease, and each
+        # attempt's iterations add to those on the step's own LU
+        hist = report.residual_history
+        attempts = steps_after_a_cut(hist, 1.0)
+        assert attempts and [norm for norm, _ in tried] == [hist[k] for k in attempts]
+        extra = dict(zip(attempts, [k for _, k in tried]))
+        assert all(k >= 1 for k in extra.values())
+        assert report.gmres_iterations == [
+            k + extra.get(step, 0) for step, k in enumerate(ref[2].gmres_iterations)
+        ]
 
     @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
     def test_two_solves_on_one_system_are_identical(self, mixed_parts, outflow):
@@ -654,6 +691,9 @@ class TestLuReuse:
             return factorize(self, mat, order) if len(made) <= good else _NoLU()
 
         monkeypatch.setattr(fom.GlobalFomSystem, "factorize", poor_after)
+        # the step after a good one factors: its kept LU solves nothing
+        route_kept_lu(monkeypatch, fail_on_kept_lu)
+        refuse_a_second_live_lu(monkeypatch)
         u, p, report = solve_newton(system)
         assert not report.converged
         assert report.message.startswith("linear solve failed on a fresh factorization (residual ")
@@ -661,9 +701,44 @@ class TestLuReuse:
         # factorization does
         assert len(made) == len(report.fill_nnz) == good + 1
         assert report.newton_iterations == good
-        assert len(report.step_norms) == len(report.gmres_iterations) == good
+        assert len(report.step_norms) == len(report.linear_targets) == good
+        assert report.gmres_iterations == [1] * good and not any(report.reused_lu)
         assert len(report.residual_history) == good + 1
         assert u.shape == (system.n_u,) and p.shape == (system.n_p,)
+
+
+class TestInexactNewton:
+    @pytest.mark.parametrize("tol_rel", [1e-8, 3e-7])
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_forcing_terms_follow_the_residuals(self, mixed_parts, outflow, tol_rel):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(outflow), ops, blocks)
+        _, _, report = solve_newton(system, tol_rel=tol_rel)
+        assert report.converged
+        rules = assert_forcing_targets(report, tol_rel)
+        # the first step solves to half its residual; the second, after a
+        # cut below half, to the safeguard
+        assert rules[:2] == ["forcing", "safeguard"]
+        # at tol_rel 3e-7 the forcing term of the fourth step falls between
+        # half the Newton target and the target: it is capped at half
+        assert "cap" in rules or tol_rel == 1e-8
+        assert report.linear_targets[-1] <= 0.5 * tol_rel * report.residual_history[0]
+
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_converged_state_matches_exact_newton(self, mixed_parts, outflow, monkeypatch):
+        ops, blocks = mixed_parts
+        system = assemble_global(mixed_3x3_grid(outflow), ops, blocks)
+        u, p, report = solve_newton(system)
+        exact_newton(monkeypatch, fom.GlobalFomSystem)
+        u_ref, p_ref, ref = solve_newton(system)
+        assert report.converged and ref.converged
+        hist = ref.residual_history
+        target = 1e-8 * hist[0]
+        assert ref.linear_targets == [max(1e-3 * target, 1e-13 * r) for r in hist[:-1]]
+        assert len(report.fill_nnz) < len(ref.fill_nnz) == ref.newton_iterations
+        # both residuals are below the Newton target, tol_rel 1e-8 of hist[0]
+        x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
+        assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
 
 class _DenseLU:

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import re
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cromflow import fom
+from cromflow import fom, harness
 from cromflow.geometry import SIDES
 from cromflow.harness import (
     TRAIN_SHAPE,
@@ -156,6 +157,27 @@ class TestSnapshots:
         sets, skipped = generate_snapshots(cfg, parts)
         assert skipped == 1
         assert sum(s.count for s in sets.values()) == 4
+
+    def test_log_line_sums_the_solves(self, monkeypatch, caplog):
+        cfg = ExperimentConfig(**{**TINY, "train_samples": 3})
+        parts = build_component_set(cfg)
+        reports, solve = [], harness.solve_newton
+
+        def recording(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            reports.append(result[2])
+            return result
+
+        monkeypatch.setattr(harness, "solve_newton", recording)
+        with caplog.at_level(logging.INFO, logger="cromflow"):
+            generate_snapshots(cfg, parts)
+        assert len(reports) == 3
+        steps = sum(r.newton_iterations for r in reports)
+        factorizations = sum(len(r.fill_nnz) for r in reports)
+        iterations = sum(sum(r.gmres_iterations) for r in reports)
+        assert 0 < factorizations <= steps <= iterations
+        line = f"{steps} Newton steps, {factorizations} factorizations, {iterations} FGMRES iterations"
+        assert line in caplog.text
 
     def test_duplicate_seed_bit_identical(self):
         cfg = ExperimentConfig(**{**TINY, "train_samples": 6})

@@ -61,6 +61,7 @@ def assert_same_solve(first, second):
         "fill_nnz",
         "reused_lu",
         "gmres_iterations",
+        "linear_targets",
         "converged",
         "message",
     ):
@@ -85,6 +86,69 @@ def route_kept_lu(monkeypatch, kept):
 def fail_on_kept_lu(fgmres, mat, lu, b, atol, *args):
     """Reports failure without iterating: every Newton step factors."""
     return None, 0, float(np.linalg.norm(b))
+
+
+def record_kept_lu(monkeypatch) -> list:
+    """Run every FGMRES cycle on a kept LU as is; the list returned gets the
+    norm of each such cycle's right-hand side, the residual norm of its
+    Newton step."""
+    tried = []
+
+    def kept(fgmres, mat, lu, b, atol, *args):
+        tried.append(float(np.linalg.norm(b)))
+        return fgmres(mat, lu, b, atol, *args)
+
+    route_kept_lu(monkeypatch, kept)
+    return tried
+
+
+def exact_newton(monkeypatch, system_type):
+    """Every Newton step of ``system_type`` factors its own matrix and solves
+    to the tight target, ``_GMRES_TOL`` of the Newton target: no forcing
+    term, no kept LU."""
+    monkeypatch.setattr(fom, "_FORCING_MAX", 0.0)
+    monkeypatch.setattr(system_type, "reuse_below", 0.0)
+
+
+def steps_after_a_cut(history, reuse_below) -> list:
+    """The Newton steps whose residual norm is below ``reuse_below`` of the
+    one before: those that try the kept LU."""
+    return [k for k in range(1, len(history) - 1) if history[k] < reuse_below * history[k - 1]]
+
+
+def forcing_targets(history, tol_rel=1e-8, tol_abs=1e-10):
+    """The linear target of every Newton step of a solve from its residual
+    norms, and which rule set it: Eisenstat & Walker's choice 2 forcing term
+    (η_0 = 0.5, then 0.9 (‖r_k‖/‖r_{k-1}‖)², at most 0.5) or their safeguard
+    0.9 η_{k-1}² where that is above 0.1 and the larger, times ‖r_k‖; half the
+    Newton target where that product is between half the target and the
+    target; and the floors, 1e-3 of the target and 1e-13 of ‖r_k‖."""
+    target = max(tol_rel * history[0], tol_abs)
+    eta, targets, rules = 0.5, [], []
+    for k in range(len(history) - 1):
+        rule = "forcing"
+        if k:
+            eta_next = 0.9 * (history[k] / history[k - 1]) ** 2
+            if 0.9 * eta**2 > max(0.1, eta_next):
+                eta_next, rule = 0.9 * eta**2, "safeguard"
+            eta = min(0.5, eta_next)
+        linear = eta * history[k]
+        if 0.5 * target < linear < target:
+            linear, rule = 0.5 * target, "cap"
+        floor = max(1e-3 * target, 1e-13 * history[k])
+        if floor > linear:
+            linear, rule = floor, "floor"
+        targets.append(linear)
+        rules.append(rule)
+    return targets, rules
+
+
+def assert_forcing_targets(report, tol_rel=1e-8) -> list:
+    """The report's linear targets are those of :func:`forcing_targets`;
+    returns the rule that set each."""
+    targets, rules = forcing_targets(report.residual_history, tol_rel)
+    assert report.linear_targets == pytest.approx(targets, rel=1e-14, abs=0.0)
+    return rules
 
 
 def residual_blocks(system, u, p):
@@ -421,6 +485,77 @@ class TestSolve:
         # every step ran FGMRES, on the kept LU or on its own
         assert all(k >= 1 for k in report.gmres_iterations)
         assert all(k >= 1 for k in ref.gmres_iterations)
+
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    def test_forcing_terms_follow_the_residuals(self, mixed_3x3, backend):
+        grid, reduced, riface = mixed_3x3
+        _, _, report = solve_rom_newton(assemble_global_rom(grid, reduced, riface, backend))
+        assert report.converged
+        rules = assert_forcing_targets(report)
+        assert rules[0] == "forcing" and "safeguard" in rules
+
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    def test_kept_lu_is_tried_after_a_10x_cut_only(self, mixed_3x3, backend, monkeypatch):
+        grid, reduced, riface = mixed_3x3
+        tried = record_kept_lu(monkeypatch)
+        _, _, report = solve_rom_newton(assemble_global_rom(grid, reduced, riface, backend))
+        assert report.converged and rom.GlobalRomSystem.reuse_below == 0.1
+        hist = report.residual_history
+        attempts = steps_after_a_cut(hist, 0.1)
+        assert attempts and tried == [hist[k] for k in attempts]
+        # a step after a smaller cut factors without trying
+        assert set(steps_after_a_cut(hist, 1.0)) - set(attempts)
+        assert all(k in attempts for k, reused in enumerate(report.reused_lu) if reused)
+        assert len(report.fill_nnz) == report.newton_iterations - sum(report.reused_lu)
+
+    @pytest.mark.parametrize("backend", ["tensorial", "eqp"])
+    @pytest.mark.parametrize("outflow", [True, False], ids=["outflow", "all-dirichlet"])
+    def test_converged_state_matches_exact_newton(self, mixed_3x3, backend, outflow, monkeypatch):
+        grid, reduced, riface = mixed_3x3
+        if not outflow:
+            bc = {s: SideBC("dirichlet", channel_profile) for s in "LRBT"}
+            grid = GridConfig(3, 3, grid.cell_component, NU, bc)
+        system = assemble_global_rom(grid, reduced, riface, backend)
+        uh, ph, report = solve_rom_newton(system)
+        exact_newton(monkeypatch, rom.GlobalRomSystem)
+        uh_ref, ph_ref, ref = solve_rom_newton(system)
+        assert report.converged and ref.converged
+        hist = ref.residual_history
+        target = 1e-8 * hist[0]
+        assert ref.linear_targets == [max(1e-3 * target, 1e-13 * r) for r in hist[:-1]]
+        assert not any(ref.reused_lu) and len(ref.fill_nnz) == ref.newton_iterations
+        # both residuals are below the Newton target, tol_rel 1e-8 of hist[0]
+        x, x_ref = np.concatenate([uh, ph]), np.concatenate([uh_ref, ph_ref])
+        assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+    def test_stalled_solve_reports_not_converged(self, parts):
+        space, ops, blocks = parts
+        basis = random_basis(space, 8, 3)
+        reduced, riface = project_linear(ops, blocks, {"empty": basis})
+        # velocity mode 0 of the first cell alone solves u² + εu + 1 = 0,
+        # which has no real root: ‖r‖ stays at or above 1 − ε²/4
+        tensor = build_advection_tensor(ops["empty"], basis.phi_u)
+        tensor[0], tensor[:, 0], tensor[:, :, 0] = 0.0, 0.0, 0.0
+        tensor[0, 0, 0] = 1.0
+        reduced["empty"].tensor = tensor
+        grid = GridConfig(1, 2, [["empty", "empty"]], NU, channel_bc())
+        system = assemble_global_rom(grid, reduced, riface)
+        eps = 0.5
+        for (m, n), blk in system.saddle.blocks.items():
+            if m == 0:
+                blk[0, :] = 0.0
+            if n == 0:
+                blk[:, 0] = 0.0
+        system.saddle.blocks[0, 0][0, 0] = eps
+        system.rhs[0] = -1.0
+        uh, ph, report = solve_rom_newton(system, max_iter=20)
+        assert not report.converged
+        residual = report.residual_history[-1]
+        assert report.message == f"no convergence in 20 iterations (residual {residual:.3e})"
+        assert min(report.residual_history) >= 1.0 - eps**2 / 4
+        assert_forcing_targets(report)
+        assert len(report.fill_nnz) == 20 - sum(report.reused_lu)
+        assert np.isfinite(uh).all() and np.isfinite(ph).all()
 
     def test_singular_factorization_is_reported(self, parts):
         space, ops, blocks = parts
